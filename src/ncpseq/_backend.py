@@ -1,23 +1,11 @@
-"""Select the compiled enumeration kernels, falling back to pure Python.
+"""The enumeration kernels, bound under one name.
 
-Set NCPSEQ_PURE=1 before import to skip the compiled module; the
-benchmark and the backend-equivalence tests rely on that switch.
+The pure-Python walks in ncpseq._kernels_py are the only
+implementation.  Callers reach them as ncpseq._backend.kernels, so
+this module is the one place that picks them, and BACKEND names them
+in reports.
 """
 
-from __future__ import annotations
+from ncpseq import _kernels_py as kernels
 
-import os
-
-if os.environ.get("NCPSEQ_PURE"):
-    from ncpseq import _kernels_py as kernels
-
-    BACKEND = "pure-python"
-else:
-    try:
-        from ncpseq import _kernels as kernels
-
-        BACKEND = "compiled"
-    except ImportError:
-        from ncpseq import _kernels_py as kernels
-
-        BACKEND = "pure-python"
+BACKEND = "pure-python"

@@ -1,8 +1,6 @@
-"""Pure-Python enumeration kernels.
+"""Enumeration kernels: the walks behind every listing and count.
 
-ncpseq._kernels is the compiled twin of this module; the two must stay
-in lockstep: same functions, same results, same emission order.  The
-recursions are self-contained on purpose.  They never touch the
+The recursions are self-contained on purpose.  They never touch the
 bijection, so their output can referee it.
 
 Partition walk: scan elements 1..m with a stack of open blocks.
@@ -11,7 +9,10 @@ below the top of the stack, which closes every block above the join
 for good.  Joining the top is never legal, because the top block
 always ends at e-1 and no block may contain consecutive integers;
 joining above a still-open block would cross it.  Every semi-special
-partition is reached by exactly one choice run.
+partition is reached by exactly one choice run.  A walk with a block
+target prunes every branch that can no longer reach it; the pruning
+only removes branches that emit nothing, so the emission order is that
+of the unpruned walk.
 
 Sequence walk: fill positions n..1 with values 1..bound; fixing
 position q to m lowers the bound at each earlier position p to
@@ -63,8 +64,15 @@ def _partition_walk(
 
     def rec(e: int, stack: tuple[int, ...], created: int) -> None:
         nonlocal count
-        if target is not None and not created <= target <= created + m - e + 1:
-            return
+        if target is not None:
+            # Each of the r elements left either opens a block or joins
+            # one strictly below the top, popping at least one of the k
+            # open blocks, and the stack never empties: so at least
+            # ceil((r - k + 1) / 2) of them must open a block.
+            need = target - created
+            r = m - e + 1
+            if not 0 <= need <= r or 2 * need < r - len(stack) + 1:
+                return
         if e > m:
             count += 1
             if out is not None:

@@ -62,13 +62,10 @@ class CliConfig:
     fmt: str = "ascii"
     out: str | None = None
     claim: str | None = None
-    parallel: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValidationError("n must be >= 0")
-        if self.parallel < 1:
-            raise ValidationError("--parallel must be >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all claim suites, print a JSON report")
     p.add_argument("--n-max", type=int, default=verify_mod.DEFAULT_N_CEILING)
-    p.add_argument("--parallel", type=int, default=1, help="worker threads")
 
     p = sub.add_parser("check", help="run a single claim suite")
     p.add_argument("claim", choices=CLAIMS)
@@ -118,7 +114,7 @@ def _config(ns: argparse.Namespace) -> CliConfig:
     if cmd == "invert":
         return CliConfig(cmd, text=ns.sequence, trace=ns.trace, as_json=ns.json)
     if cmd == "verify":
-        return CliConfig(cmd, n=ns.n_max, parallel=ns.parallel)
+        return CliConfig(cmd, n=ns.n_max)
     if cmd == "check":
         return CliConfig(cmd, n=ns.n_max, claim=ns.claim, as_json=ns.json)
     return CliConfig(cmd, text=ns.input, fmt=ns.fmt, out=ns.out, trace=ns.trace)
@@ -209,7 +205,7 @@ def cmd_verify(cfg: CliConfig) -> int:
             f"{verify_mod.DEFAULT_N_CEILING}; this may take a while",
             file=sys.stderr,
         )
-    report = verify_mod.run_verify(cfg.n, workers=cfg.parallel)
+    report = verify_mod.run_verify(cfg.n)
     print(json.dumps(report, indent=2))
     return 0 if report["status"] == "pass" else 1
 

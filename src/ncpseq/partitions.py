@@ -72,25 +72,28 @@ def _check_partition(m: int, blocks: tuple[Block, ...]) -> None:
                 raise ValidationError(f"duplicate element {x}")
             seen.add(x)
     if len(seen) != m:
-        missing = min(set(range(1, m + 1)) - seen)
+        missing = next(x for x in range(1, m + 1) if x not in seen)
         raise ValidationError(f"element {missing} missing from the partition")
 
 
 def parse_partition(text: str) -> Partition:
     """Parse canonical block text like "1,5|2,4|3"; spaces are tolerated.
 
-    Raises ParseError when the text breaks the grammar and
-    ValidationError when the parsed blocks are not a partition of
-    {1..max element}.
+    Elements are runs of ASCII digits.  Raises ParseError when the text
+    breaks the grammar and ValidationError when the parsed blocks are
+    not a partition of {1..max element}.
     """
     blocks = []
     for chunk in text.split(BLOCK_SEP):
         elems = []
         for token in chunk.split(ELEMENT_SEP):
             token = token.strip()
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise ParseError(f"expected a positive integer, got {token!r}")
-            value = int(token)
+            try:
+                value = int(token)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"integer of {len(token)} digits is too long") from None
             if value == 0:
                 raise ParseError("elements are 1-based, got 0")
             elems.append(value)

@@ -15,7 +15,7 @@ where terms that drop below 1 impose nothing; at a set position, g_q
 is the chosen value.  Every choice 1 <= m <= g_q at the cursor keeps
 the run completable, and distinct choice runs give distinct sequences.
 
-Text form: space-separated decimal integers; the empty string is the
+Text form: space-separated ASCII decimal integers; the empty string is the
 unique n = 0 sequence.
 """
 
@@ -81,9 +81,12 @@ def parse_sequence(text: str) -> CatSeq:
     """
     entries = []
     for token in text.split():
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise ParseError(f"expected a positive integer, got {token!r}")
-        entries.append(int(token))
+        try:
+            entries.append(int(token))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer of {len(token)} digits is too long") from None
     return CatSeq(tuple(entries))
 
 

@@ -2,16 +2,12 @@
 
 Each suite sweeps one claim across a size range and returns a
 CheckReport; run_verify bundles the five standard suites into a single
-JSON-ready dictionary.  Suites that iterate independent sizes accept a
-worker count and fan out per size over threads, which pays off once
-the compiled kernels release no work to the interpreter between sizes.
+JSON-ready dictionary.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
 
 from ncpseq import bijection
 from ncpseq.errors import ValidationError
@@ -32,28 +28,16 @@ FLOOR_SUM_N_MAX = 12
 MIN_BLOCKS_M_CAP = 13
 MAX_GROUND_B_CAP = 6
 
-T = TypeVar("T")
-R = TypeVar("R")
 
-
-def _run(fn: Callable[[T], R], args: Iterable[T], workers: int) -> list[R]:
-    items = list(args)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(a) for a in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def cardinality_suite(n_max: int, workers: int = 1) -> CheckReport:
+def cardinality_suite(n_max: int) -> CheckReport:
     """Special partitions, valid sequences, and Catalan agree for n = 0..n_max."""
     started = time.perf_counter()
-
-    def one(n: int) -> tuple[int, int, int, int]:
-        return n, sum(1 for _ in enumerate_special(n)), sum(1 for _ in generate_all(n)), catalan(n)
-
     checked = 0
     failure = None
-    for n, parts, seqs, want in _run(one, range(n_max + 1), workers):
+    for n in range(n_max + 1):
+        parts = sum(1 for _ in enumerate_special(n))
+        seqs = sum(1 for _ in generate_all(n))
+        want = catalan(n)
         checked += parts + seqs
         if failure is None and not parts == seqs == want:
             failure = f"n={n}: {parts} partitions, {seqs} sequences, catalan {want}"
@@ -63,7 +47,7 @@ def cardinality_suite(n_max: int, workers: int = 1) -> CheckReport:
     )
 
 
-def round_trip_suite(n_max: int, workers: int = 1) -> CheckReport:
+def round_trip_suite(n_max: int) -> CheckReport:
     """Both compositions of the maps are the identity for n = 0..n_max."""
     started = time.perf_counter()
 
@@ -95,7 +79,7 @@ def round_trip_suite(n_max: int, workers: int = 1) -> CheckReport:
 
     checked = 0
     failure = None
-    for count, reason in _run(one, range(n_max + 1), workers):
+    for count, reason in map(one, range(n_max + 1)):
         checked += count
         if failure is None and reason is not None:
             failure = reason
@@ -105,12 +89,12 @@ def round_trip_suite(n_max: int, workers: int = 1) -> CheckReport:
     )
 
 
-def special_structure_suite(n_max: int, workers: int = 1) -> CheckReport:
+def special_structure_suite(n_max: int) -> CheckReport:
     """Structural facts about special partitions for n = 0..n_max."""
     started = time.perf_counter()
     checked = 0
     failure = None
-    for report in _run(check_special_structure, range(n_max + 1), workers):
+    for report in map(check_special_structure, range(n_max + 1)):
         checked += report.count_checked
         if failure is None and not report.passed:
             failure = report.counterexample
@@ -177,16 +161,14 @@ def max_ground_suite(n_max: int) -> CheckReport:
     )
 
 
-def run_verify(n_max: int = DEFAULT_N_CEILING, workers: int = 1) -> dict:
+def run_verify(n_max: int = DEFAULT_N_CEILING) -> dict:
     """Run the five standard suites and assemble the report dictionary."""
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
     reports = [
-        cardinality_suite(n_max, workers),
-        round_trip_suite(n_max, workers),
-        special_structure_suite(n_max, workers),
+        cardinality_suite(n_max),
+        round_trip_suite(n_max),
+        special_structure_suite(n_max),
         floor_sum_suite(),
         min_blocks_suite(n_max),
     ]

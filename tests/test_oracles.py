@@ -2,6 +2,7 @@
 
 import pytest
 
+from ncpseq import _kernels_py as kernels
 from ncpseq import (
     CheckReport,
     Composition,
@@ -73,6 +74,27 @@ def test_enumerate_ssp_matches_filter(m):
     got = {p.blocks for p in enumerate_ssp(m)}
     assert got == set(ssp_by_filter(m))
     assert count_ssp(m) == len(got) == MOTZKIN[m - 1]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_special_walk_is_the_unpruned_walk_filtered(n):
+    """The pruned special walk emits the n+1-block SSPs in the same order."""
+    unpruned = [p for p in kernels.ssp_partitions(2 * n + 1) if len(p) == n + 1]
+    assert kernels.special_partitions(n) == unpruned
+
+
+def test_special_count_is_catalan():
+    for n in range(12):
+        assert kernels.count_special_partitions(n) == catalan(n)
+
+
+def test_kernels_reject_bad_sizes():
+    with pytest.raises(ValueError):
+        kernels.ssp_partitions(0)
+    with pytest.raises(ValueError):
+        kernels.special_partitions(-1)
+    with pytest.raises(ValueError):
+        kernels.catalan_sequences(-1)
 
 
 def test_enumerator_input_validation():
@@ -199,21 +221,6 @@ def test_run_verify_report_schema():
         assert "counterexample" not in check
 
 
-def test_run_verify_parallel_matches_serial():
-    serial = run_verify(5, workers=1)
-    threaded = run_verify(5, workers=4)
-
-    def scrub(rep):
-        return [
-            {k: v for k, v in c.items() if k != "elapsed_ms"} for c in rep["checks"]
-        ]
-
-    assert scrub(serial) == scrub(threaded)
-    assert serial["counts"] == threaded["counts"]
-
-
 def test_run_verify_input_validation():
     with pytest.raises(ValidationError):
         run_verify(-1)
-    with pytest.raises(ValidationError):
-        run_verify(3, workers=0)

@@ -61,10 +61,29 @@ def test_parse_normalizes_block_order():
     assert format_partition(parse_partition("1,13|9|8,10|7,11|5|3|2,4,6,12")) == PART_13
 
 
-@pytest.mark.parametrize("text", ["", "1,,3|2", "1|x", "0|1", "1 2", "-1|2", "1.5"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "1,,3|2", "1|x", "0|1", "1 2", "-1|2", "1.5", "1,3|\u00b2", "\u0661,\u0662", "1|\uff13"],
+)
 def test_parse_rejects_bad_grammar(text):
     with pytest.raises(ParseError):
         parse_partition(text)
+
+
+def test_parse_rejects_overlong_integers():
+    # int() refuses more than 4300 digits on current Pythons; where it
+    # does not, the number parses and the membership check rejects it.
+    with pytest.raises((ParseError, ValidationError)):
+        parse_partition("1|" + "9" * 5000)
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_parse_arbitrary_text_raises_only_library_errors(text):
+    try:
+        parse_partition(text)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_parse_rejects_non_partitions():
@@ -72,6 +91,9 @@ def test_parse_rejects_non_partitions():
         parse_partition("1,3|2,2")
     with pytest.raises(ValidationError, match="element 2 missing"):
         parse_partition("1,3")
+    # The report must not build the set of all of 1..max element.
+    with pytest.raises(ValidationError, match="element 2 missing"):
+        parse_partition("1|999999999999")
 
 
 def test_partition_constructor_validates():

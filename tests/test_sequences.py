@@ -52,10 +52,28 @@ def test_parse_and_format():
     assert str(CatSeq((1, 2))) == "1 2"
 
 
-@pytest.mark.parametrize("text", ["a", "1 x", "-1", "1.5 2"])
+@pytest.mark.parametrize(
+    "text", ["a", "1 x", "-1", "1.5 2", "1 \u00b2", "1 2 \uff13", "\u0661"]
+)
 def test_parse_rejects_bad_tokens(text):
     with pytest.raises(ParseError):
         parse_sequence(text)
+
+
+def test_parse_rejects_overlong_integers():
+    # int() refuses more than 4300 digits on current Pythons; where it
+    # does not, the number parses and the membership check rejects it.
+    with pytest.raises((ParseError, ValidationError)):
+        parse_sequence("1 " + "2" * 5000)
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_parse_arbitrary_text_raises_only_library_errors(text):
+    try:
+        parse_sequence(text)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_parse_surfaces_condition_failures():
