@@ -12,6 +12,14 @@ arc in left-endpoint order from (p, p+2) to (p, p+2v), where
 v = s_{n-i+1}, sliding the v-1 span-2 arcs chained after it one point
 to the left.  After n steps the arcs spell out the partition whose
 forward image is s.
+
+inverse runs the n stretches in place on one pair of left/right
+endpoint lists and reads the blocks off by chasing each arc to the
+next, so it costs O(n + s_1 + .. + s_n) and builds no intermediate
+diagram.  stretch_step and inverse_trace use the same in-place step and
+wrap its result in an ArcDiagram.  The step checks its preconditions,
+and a valid diagram that meets them stays valid, so those diagrams and
+the final partition are not validated again.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from ncpseq.partitions import (
     Arc,
     ArcDiagram,
     Partition,
+    _arc_chains,
     format_partition,
     from_arcs,
     special_violation,
@@ -55,6 +64,10 @@ class DiffSeq:
 
 def difference_sequence(p: Partition) -> DiffSeq:
     """Distance from each element to the next member of its block."""
+    return DiffSeq(_gaps(p))
+
+
+def _gaps(p: Partition) -> tuple[int, ...]:
     reason = special_violation(p)
     if reason is not None:
         raise ValidationError(f"difference sequence needs a special partition ({reason})")
@@ -62,14 +75,12 @@ def difference_sequence(p: Partition) -> DiffSeq:
     for block in p.blocks:
         for x, y in zip(block, block[1:]):
             diffs[x - 1] = y - x
-    return DiffSeq(tuple(diffs))
+    return tuple(diffs)
 
 
 def forward(p: Partition) -> CatSeq:
     """Map a special partition of [2n+1] to its sequence in S_n."""
-    diffs = difference_sequence(p).diffs
-    nonzero = [d for d in diffs if d]
-    return CatSeq(tuple(d // 2 for d in reversed(nonzero)))
+    return CatSeq(tuple(d // 2 for d in reversed(_gaps(p)) if d))
 
 
 def initial_diagram(n: int) -> ArcDiagram:
@@ -80,34 +91,33 @@ def initial_diagram(n: int) -> ArcDiagram:
     return ArcDiagram(2 * n + 1, arcs)
 
 
-def _stretch(
-    d: ArcDiagram, i: int, v: int
-) -> tuple[ArcDiagram, Arc, Arc, tuple[tuple[Arc, Arc], ...]]:
+def _stretch(left: list[int], right: list[int], i: int, v: int) -> None:
+    """Stretch arc i of the diagram held as endpoint lists, in place.
+
+    left and right hold the arcs of a valid diagram sorted by left end.
+    When the shape checks pass, the result is again a valid diagram in
+    that order: the points the stretch touches belong to no other arc.
+    """
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise StretchError(f"stretch width {v!r} is not a positive integer")
-    if not 1 <= i <= len(d.arcs):
-        raise StretchError(f"no arc {i} in a diagram with {len(d.arcs)} arcs")
-    arcs = list(d.arcs)
-    before = arcs[i - 1]
+    if not 1 <= i <= len(left):
+        raise StretchError(f"no arc {i} in a diagram with {len(left)} arcs")
     if v == 1:
-        return d, before, before, ()
-    p = before[0]
-    if before[1] != p + 2:
-        raise StretchError(f"arc {i} spans {before}, expected ({p},{p + 2})")
-    if i - 1 + v > len(arcs):
-        raise StretchError(f"only {len(arcs) - i} arcs follow arc {i}, need {v - 1}")
-    for k in range(1, v):
-        want = (p + 2 * k, p + 2 * k + 2)
-        if arcs[i - 1 + k] != want:
-            raise StretchError(f"arc {i + k} is {arcs[i - 1 + k]}, expected {want}")
-    after = (p, p + 2 * v)
-    arcs[i - 1] = after
-    shifted = []
+        return
+    at = i - 1
+    p = left[at]
+    if right[at] != p + 2:
+        raise StretchError(f"arc {i} spans {(p, right[at])}, expected ({p},{p + 2})")
+    if at + v > len(left):
+        raise StretchError(f"only {len(left) - i} arcs follow arc {i}, need {v - 1}")
     for k in range(1, v):
         q = p + 2 * k
-        arcs[i - 1 + k] = (q - 1, q + 1)
-        shifted.append(((q, q + 2), (q - 1, q + 1)))
-    return ArcDiagram(d.point_count, tuple(arcs)), before, after, tuple(shifted)
+        if left[at + k] != q or right[at + k] != q + 2:
+            got = (left[at + k], right[at + k])
+            raise StretchError(f"arc {i + k} is {got}, expected {(q, q + 2)}")
+    right[at] = p + 2 * v
+    left[at + 1 : at + v] = range(p + 1, p + 2 * v - 2, 2)
+    right[at + 1 : at + v] = range(p + 3, p + 2 * v, 2)
 
 
 def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
@@ -122,7 +132,21 @@ def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
     inverse construction that happens exactly when v exceeds the
     governing bound for the step.
     """
-    return _stretch(d, i, v)[0]
+    left = [l for l, _ in d.arcs]
+    right = [r for _, r in d.arcs]
+    _stretch(left, right, i, v)
+    if v == 1:
+        return d
+    return ArcDiagram._trusted(d.point_count, _restretched(d.arcs, left, right, i, v))
+
+
+def _restretched(
+    arcs: tuple[Arc, ...], left: list[int], right: list[int], i: int, v: int
+) -> tuple[Arc, ...]:
+    """arcs after _stretch(left, right, i, v), sharing the arcs it left alone."""
+    out = list(arcs)
+    out[i - 1 : i - 1 + v] = zip(left[i - 1 : i - 1 + v], right[i - 1 : i - 1 + v])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -193,19 +217,33 @@ class ConstructionTrace:
 def inverse_trace(s: CatSeq) -> ConstructionTrace:
     """Run the arc-stretching construction for s, recording every step."""
     n = len(s.entries)
-    diagram = initial_diagram(n)
-    start = diagram
+    start = initial_diagram(n)
+    left = [l for l, _ in start.arcs]
+    right = [r for _, r in start.arcs]
+    diagram = start
     steps = []
     for i in range(1, n + 1):
-        diagram, before, after, shifted = _stretch(diagram, i, s.entries[n - i])
-        steps.append(TraceStep(i, before, after, shifted, diagram))
+        v = s.entries[n - i]
+        _stretch(left, right, i, v)
+        p = left[i - 1]
+        after = (p, right[i - 1])
+        if v == 1:
+            steps.append(TraceStep(i, after, after, (), diagram))
+            continue
+        shifted = tuple(
+            ((q, q + 2), (q - 1, q + 1)) for q in range(p + 2, p + 2 * v, 2)
+        )
+        arcs = _restretched(diagram.arcs, left, right, i, v)
+        diagram = ArcDiagram._trusted(start.point_count, arcs)
+        steps.append(TraceStep(i, (p, p + 2), after, shifted, diagram))
     return ConstructionTrace(start, tuple(steps))
 
 
 def inverse(s: CatSeq) -> Partition:
     """The special partition whose forward image is s."""
     n = len(s.entries)
-    diagram = initial_diagram(n)
+    left = list(range(1, 2 * n, 2))
+    right = list(range(3, 2 * n + 2, 2))
     for i in range(1, n + 1):
-        diagram = stretch_step(diagram, i, s.entries[n - i])
-    return from_arcs(diagram)
+        _stretch(left, right, i, s.entries[n - i])
+    return Partition._trusted(2 * n + 1, _arc_chains(2 * n + 1, zip(left, right)))

@@ -6,6 +6,10 @@ condition or a claim check fails, 2 on unparseable input or bad usage,
 
 map and invert read one object from argv or, when omitted, convert
 every line of stdin, so enumerate can pipe straight through them.
+Each stdin line is one input, and the stream stops at the first line
+that fails, with that line's exit code, after the results of the lines
+before it are printed.  A blank line is the n = 0 sequence for invert
+and a parse error (exit 2) for map.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
 as a sequence and inverted first.
@@ -68,6 +72,16 @@ class CliConfig:
             raise ValidationError("n must be >= 0")
 
 
+def _ascii_int(text: str) -> int:
+    """argparse type: int() restricted to ASCII text, as in the parsers."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncpseq",
@@ -77,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("enumerate", help="list or count all objects at one size")
-    p.add_argument("--n", type=int, required=True, help="sequence length / (ground-1)/2")
+    p.add_argument("--n", type=_ascii_int, required=True, help="sequence length / (ground-1)/2")
     p.add_argument("--kind", choices=("special", "sequences"), default="special")
     p.add_argument("--count-only", action="store_true", help="print the count instead")
 
@@ -90,11 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="trace as a JSON array")
 
     p = sub.add_parser("verify", help="run all claim suites, print a JSON report")
-    p.add_argument("--n-max", type=int, default=verify_mod.DEFAULT_N_CEILING)
+    p.add_argument("--n-max", type=_ascii_int, default=verify_mod.DEFAULT_N_CEILING)
 
     p = sub.add_parser("check", help="run a single claim suite")
     p.add_argument("claim", choices=CLAIMS)
-    p.add_argument("--n-max", type=int, default=verify_mod.DEFAULT_N_CEILING)
+    p.add_argument("--n-max", type=_ascii_int, default=verify_mod.DEFAULT_N_CEILING)
     p.add_argument("--json", action="store_true", help="full report as JSON")
 
     p = sub.add_parser("render", help="draw a partition or sequence as arcs")

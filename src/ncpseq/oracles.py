@@ -12,16 +12,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
 from ncpseq.errors import ValidationError
 from ncpseq.partitions import (
     Partition,
+    _gap_partition,
     decompose_pieces,
     format_partition,
     is_special,
-    subpartition,
+    special_violation,
 )
 
 
@@ -157,26 +158,36 @@ def _structure_violation(p: Partition, top: int) -> str | None:
         for x, y in zip(b, b[1:]):
             if (y - x) % 2:
                 return f"odd gap between {x} and {y}"
+    # Once p is known to be special, its gaps hold whole blocks and the
+    # subpartitions need no check of their own beyond the claim itself.
+    reason = special_violation(p)
+    if reason is not None:
+        return f"not special ({reason})"
     for bi, b in enumerate(p.blocks, start=1):
         for gi in range(1, len(b)):
-            if not is_special(subpartition(p, bi, gi)):
+            if not is_special(_gap_partition(p, b[gi - 1], b[gi])):
                 return f"subpartition at block {bi}, gap {gi} is not special"
     if len(decompose_pieces(p)) != 1:
         return "more than one piece"
     return None
 
 
-def check_special_structure(n: int) -> CheckReport:
+def check_special_structure(
+    n: int, *, partitions: Iterable[Partition] | None = None
+) -> CheckReport:
     """Re-check the structural facts over every special partition of [2n+1].
 
     For each one: 1 and 2n+1 share a block; consecutive elements of a
     block differ by an even amount; every subpartition is special; the
-    piece decomposition is a single piece.
+    piece decomposition is a single piece.  partitions, when given, is
+    the enumeration of size n to check instead of walking it again.
     """
     started = time.perf_counter()
+    if partitions is None:
+        partitions = enumerate_special(n)
     checked = 0
     failure = None
-    for p in enumerate_special(n):
+    for p in partitions:
         checked += 1
         reason = _structure_violation(p, 2 * n + 1)
         if reason is not None:

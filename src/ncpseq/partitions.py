@@ -24,6 +24,7 @@ endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ncpseq.errors import ParseError, ValidationError
 
@@ -42,9 +43,23 @@ class Partition:
     blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
-        object.__setattr__(self, "blocks", norm)
-        _check_partition(self.ground_size, norm)
+        blocks = self.blocks
+        if not _is_canonical(blocks):
+            blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+            object.__setattr__(self, "blocks", blocks)
+        _check_partition(self.ground_size, blocks)
+
+    @classmethod
+    def _trusted(cls, ground_size: int, blocks: tuple[Block, ...]) -> Partition:
+        """Wrap canonical blocks without sorting or checking them.
+
+        Only for blocks that the calling code has just proved to be a
+        canonical partition of {1..ground_size}.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "blocks", blocks)
+        return self
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -52,6 +67,27 @@ class Partition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+
+def _is_canonical(blocks: object) -> bool:
+    """True when blocks is a tuple of ascending int tuples ordered by least element.
+
+    Such blocks are already in the form the constructor would sort them
+    into, so they are kept as given.
+    """
+    if type(blocks) is not tuple:
+        return False
+    least = 0
+    for block in blocks:
+        if type(block) is not tuple or not block or type(block[0]) is not int:
+            return False
+        if block[0] <= least:
+            return False
+        least = block[0]
+        for x, y in zip(block, block[1:]):
+            if not x < y:
+                return False
+    return True
 
 
 def _check_partition(m: int, blocks: tuple[Block, ...]) -> None:
@@ -245,11 +281,21 @@ def subpartition(p: Partition, block_index: int, gap_index: int) -> Partition:
         raise ValidationError("the chosen block has no gap")
     if not 1 <= gap_index < len(block):
         raise ValidationError(f"gap index {gap_index} out of range")
-    lo, hi = block[gap_index - 1], block[gap_index]
+    return _gap_partition(p, block[gap_index - 1], block[gap_index])
+
+
+def _gap_partition(p: Partition, lo: int, hi: int) -> Partition:
+    """The blocks strictly between lo and hi, shifted down to start at 1.
+
+    Unchecked core of subpartition: p must be special and lo, hi
+    consecutive elements of one of its blocks.  Non-crossing then makes
+    the elements between them whole blocks of p, so the result is a
+    canonical partition without any further check.
+    """
     inner = tuple(
         tuple(x - lo for x in b) for b in p.blocks if lo < b[0] < hi
     )
-    return Partition(hi - lo - 1, inner)
+    return Partition._trusted(hi - lo - 1, inner)
 
 
 @dataclass(frozen=True)
@@ -263,6 +309,18 @@ class ArcDiagram:
         norm = tuple(sorted(tuple(a) for a in self.arcs))
         object.__setattr__(self, "arcs", norm)
         _check_arcs(self.point_count, norm)
+
+    @classmethod
+    def _trusted(cls, point_count: int, arcs: tuple[Arc, ...]) -> ArcDiagram:
+        """Wrap arcs without sorting or checking them.
+
+        Only for arcs that the calling code has just proved to be a valid
+        diagram on 1..point_count, sorted by left end.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "point_count", point_count)
+        object.__setattr__(self, "arcs", arcs)
+        return self
 
 
 def _check_arcs(m: int, arcs: tuple[Arc, ...]) -> None:
@@ -301,23 +359,39 @@ def to_arcs(p: Partition) -> ArcDiagram:
     """
     if not is_noncrossing(p):
         raise ValidationError("cannot draw arcs for a crossing partition")
-    arcs = tuple((x, y) for b in p.blocks for x, y in zip(b, b[1:]))
-    return ArcDiagram(p.ground_size, arcs)
+    # Arcs of a non-crossing partition never cross, and each element has
+    # at most one successor and one predecessor in its block.
+    arcs = sorted((x, y) for b in p.blocks for x, y in zip(b, b[1:]))
+    return ArcDiagram._trusted(p.ground_size, tuple(arcs))
 
 
 def from_arcs(d: ArcDiagram) -> Partition:
     """Blocks are the maximal chains of points linked by arcs."""
-    succ = dict(d.arcs)
-    right_ends = {r for _, r in d.arcs}
+    return Partition._trusted(d.point_count, _arc_chains(d.point_count, d.arcs))
+
+
+def _arc_chains(m: int, arcs: Iterable[Arc]) -> tuple[Block, ...]:
+    """Maximal chains of the (left, right) arcs of a valid diagram on 1..m.
+
+    Chains come out ascending and ordered by their first point, which is
+    canonical block order.
+    """
+    succ = [0] * (m + 1)
+    is_start = [True] * (m + 1)
+    for l, r in arcs:
+        succ[l] = r
+        is_start[r] = False
     blocks = []
-    for start in range(1, d.point_count + 1):
-        if start in right_ends:
+    for start in range(1, m + 1):
+        if not is_start[start]:
             continue
         chain = [start]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
+        nxt = succ[start]
+        while nxt:
+            chain.append(nxt)
+            nxt = succ[nxt]
         blocks.append(tuple(chain))
-    return Partition(d.point_count, tuple(blocks))
+    return tuple(blocks)
 
 
 def arc_nesting_depths(d: ArcDiagram) -> dict[Arc, int]:

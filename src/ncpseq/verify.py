@@ -3,11 +3,19 @@
 Each suite sweeps one claim across a size range and returns a
 CheckReport; run_verify bundles the five standard suites into a single
 JSON-ready dictionary.
+
+The cardinality, round-trip and special-structure suites sweep the same
+objects: every special partition of [2n+1] and every member of S_n for
+n = 0..n_max.  run_verify walks each size once into a SizeFixture and
+hands the fixtures to all three; a suite called on its own builds its
+own.  Every object is validated once, when the fixture is built.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from typing import Sequence
 
 from ncpseq import bijection
 from ncpseq.errors import ValidationError
@@ -21,7 +29,8 @@ from ncpseq.oracles import (
     format_partition,
     min_ssp_blocks,
 )
-from ncpseq.sequences import format_sequence, generate_all
+from ncpseq.partitions import Partition, special_violation
+from ncpseq.sequences import CatSeq, format_sequence, generate_all
 
 DEFAULT_N_CEILING = 9
 FLOOR_SUM_N_MAX = 12
@@ -29,35 +38,64 @@ MIN_BLOCKS_M_CAP = 13
 MAX_GROUND_B_CAP = 6
 
 
-def cardinality_suite(n_max: int) -> CheckReport:
-    """Special partitions, valid sequences, and Catalan agree for n = 0..n_max."""
+@dataclass(frozen=True)
+class SizeFixture:
+    """Both sides of the bijection at one size, enumerated once."""
+
+    n: int
+    partitions: tuple[Partition, ...]  # special partitions of [2n+1], canonical order
+    sequences: tuple[CatSeq, ...]  # S_n in generation order
+
+
+def size_fixtures(n_max: int) -> tuple[SizeFixture, ...]:
+    """One fixture for each n = 0..n_max: what the sweeping suites take as fixtures."""
+    return tuple(
+        SizeFixture(n, tuple(enumerate_special(n)), tuple(generate_all(n)))
+        for n in range(n_max + 1)
+    )
+
+
+def cardinality_suite(
+    n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
+) -> CheckReport:
+    """Special partitions, valid sequences, and Catalan agree for n = 0..n_max.
+
+    A partition counts only if it is special, so an enumerator that
+    emits anything else fails the claim.
+    """
     started = time.perf_counter()
+    if fixtures is None:
+        fixtures = size_fixtures(n_max)
     checked = 0
     failure = None
-    for n in range(n_max + 1):
-        parts = sum(1 for _ in enumerate_special(n))
-        seqs = sum(1 for _ in generate_all(n))
-        want = catalan(n)
+    for fx in fixtures:
+        parts = sum(1 for p in fx.partitions if special_violation(p) is None)
+        seqs = len(fx.sequences)
+        want = catalan(fx.n)
         checked += parts + seqs
         if failure is None and not parts == seqs == want:
-            failure = f"n={n}: {parts} partitions, {seqs} sequences, catalan {want}"
+            failure = f"n={fx.n}: {parts} partitions, {seqs} sequences, catalan {want}"
     elapsed = round((time.perf_counter() - started) * 1000.0, 3)
     return CheckReport(
         "cardinality", f"n=0..{n_max}", failure is None, checked, elapsed, failure
     )
 
 
-def round_trip_suite(n_max: int) -> CheckReport:
+def round_trip_suite(
+    n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
+) -> CheckReport:
     """Both compositions of the maps are the identity for n = 0..n_max."""
     started = time.perf_counter()
+    if fixtures is None:
+        fixtures = size_fixtures(n_max)
 
-    def one(n: int) -> tuple[int, str | None]:
+    def one(fx: SizeFixture) -> tuple[int, str | None]:
         # Looked up through the module so a deliberately broken forward
         # map planted by a test is actually exercised.
         fwd = bijection.forward
         inv = bijection.inverse
         checked = 0
-        for p in enumerate_special(n):
+        for p in fx.partitions:
             checked += 1
             text = format_partition(p)
             try:
@@ -66,7 +104,7 @@ def round_trip_suite(n_max: int) -> CheckReport:
                 return checked, f"inverse(forward({text})) raised: {exc}"
             if back != p:
                 return checked, f"inverse(forward({text})) = {format_partition(back)}"
-        for s in generate_all(n):
+        for s in fx.sequences:
             checked += 1
             text = format_sequence(s)
             try:
@@ -79,7 +117,7 @@ def round_trip_suite(n_max: int) -> CheckReport:
 
     checked = 0
     failure = None
-    for count, reason in map(one, range(n_max + 1)):
+    for count, reason in map(one, fixtures):
         checked += count
         if failure is None and reason is not None:
             failure = reason
@@ -89,12 +127,16 @@ def round_trip_suite(n_max: int) -> CheckReport:
     )
 
 
-def special_structure_suite(n_max: int) -> CheckReport:
+def special_structure_suite(
+    n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
+) -> CheckReport:
     """Structural facts about special partitions for n = 0..n_max."""
     started = time.perf_counter()
     checked = 0
     failure = None
-    for report in map(check_special_structure, range(n_max + 1)):
+    for n in range(n_max + 1):
+        parts = None if fixtures is None else fixtures[n].partitions
+        report = check_special_structure(n, partitions=parts)
         checked += report.count_checked
         if failure is None and not report.passed:
             failure = report.counterexample
@@ -162,13 +204,18 @@ def max_ground_suite(n_max: int) -> CheckReport:
 
 
 def run_verify(n_max: int = DEFAULT_N_CEILING) -> dict:
-    """Run the five standard suites and assemble the report dictionary."""
+    """Run the five standard suites and assemble the report dictionary.
+
+    The special partitions and S_n are walked once per size and shared
+    by the three suites that sweep them.
+    """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
+    fixtures = size_fixtures(n_max)
     reports = [
-        cardinality_suite(n_max),
-        round_trip_suite(n_max),
-        special_structure_suite(n_max),
+        cardinality_suite(n_max, fixtures=fixtures),
+        round_trip_suite(n_max, fixtures=fixtures),
+        special_structure_suite(n_max, fixtures=fixtures),
         floor_sum_suite(),
         min_blocks_suite(n_max),
     ]

@@ -1,6 +1,7 @@
 """The forward map, the arc-stretching inverse, and their traces."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ncpseq import (
     CatSeq,
     DiffSeq,
     GoverningState,
+    Partition,
     StretchError,
     ValidationError,
     decompose_pieces,
@@ -164,6 +166,64 @@ def test_stretch_legality_equals_governing_bound(n):
             state = set_value(state, v)
 
 
+def _replay(s):
+    """The inverse construction one public, validated stretch_step at a time."""
+    n = len(s.entries)
+    diagram = initial_diagram(n)
+    for i in range(1, n + 1):
+        diagram = stretch_step(diagram, i, s.entries[n - i])
+        assert ArcDiagram(diagram.point_count, diagram.arcs) == diagram
+    return from_arcs(diagram)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_inverse_equals_stretch_step_replay(n):
+    for s in generate_all(n):
+        p = inverse(s)
+        assert p == _replay(s)
+        assert Partition(p.ground_size, p.blocks) == p
+
+
+@given(members(n_max=300))
+@settings(max_examples=40, deadline=None)
+def test_inverse_equals_replay_on_long_members(s):
+    p = inverse(s)
+    assert p == _replay(s)
+    assert Partition(p.ground_size, p.blocks) == p
+
+
+def _random_member(n, seed):
+    rng = random.Random(seed)
+    state = GoverningState.initial(n)
+    while not state.is_complete:
+        limit = governing_bounds(state)[state.cursor - 1]
+        state = set_value(state, rng.randint(1, limit))
+    return state.sequence()
+
+
+def test_inverse_builds_no_diagram(monkeypatch):
+    made = []
+
+    def count_init(self, *args, **kwargs):
+        made.append("init")
+        original_init(self, *args, **kwargs)
+
+    def count_trusted(cls, *args):
+        made.append("trusted")
+        return original_trusted(*args)
+
+    original_init = ArcDiagram.__init__
+    original_trusted = ArcDiagram._trusted
+    s = _random_member(2000, seed=2000)
+    monkeypatch.setattr(ArcDiagram, "__init__", count_init)
+    monkeypatch.setattr(ArcDiagram, "_trusted", classmethod(count_trusted))
+    p = inverse(s)
+    assert made == []
+    assert forward(p) == s
+    assert stretch_step(initial_diagram(2), 1, 2).arcs == ((1, 5), (2, 4))
+    assert made == ["init", "trusted"]
+
+
 def test_inverse_examples():
     assert format_partition(inverse(parse_sequence("1 2 3 1 1 6"))) == PART_13
     assert format_partition(inverse(CatSeq(()))) == "1"
@@ -212,6 +272,14 @@ def test_intermediate_diagrams_stay_special_one_piece(n):
             assert p.block_count == n + 1
             assert is_special(p)
             assert len(decompose_pieces(p)) == 1
+
+
+def test_trace_shares_the_arcs_a_step_leaves_alone():
+    """A trace holds n + (sum of the entries above 1) arc objects, not one per stage."""
+    s = parse_sequence(LONG_SEQ)
+    trace = inverse_trace(s)
+    arcs = {id(a) for d in trace.diagrams() for a in d.arcs}
+    assert len(arcs) == len(s.entries) + sum(v for v in s.entries if v > 1)
 
 
 def test_trace_text_serialization():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import ncpseq._kernels_py
 import ncpseq.bijection
 from ncpseq import CatSeq
 from ncpseq.cli import main
@@ -47,6 +48,23 @@ def test_enumerate_rejects_negative_n(cli):
     code, out, err = cli("enumerate", "--n", "-3")
     assert code == 2
     assert "n must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "\uff13"),
+        ("verify", "--n-max", "\uff12"),
+        ("check", "min-blocks", "--n-max", "\uff13"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid int value" in err
 
 
 def test_unknown_flags_exit_2():
@@ -93,6 +111,12 @@ def test_invert_worked_example(cli):
 def test_invert_stdin_with_empty_line_is_n0(cli):
     code, out, err = cli("invert", stdin="\n1 2\n")
     assert (code, out) == (0, "1\n1,5|2,4|3\n")
+
+
+def test_map_stdin_stops_at_a_blank_line(cli):
+    code, out, err = cli("map", stdin="1,3,5|2|4\n\n1,5|2,4|3\n")
+    assert (code, out) == (2, "1 1\n")
+    assert err == "parse error: expected a positive integer, got ''\n"
 
 
 def test_invert_error_codes(cli):
@@ -178,6 +202,26 @@ def test_verify_flags_mutated_forward_map(cli, monkeypatch):
     assert by_claim["round-trip"]["status"] == "fail"
     assert "1,5|2,4|3" in by_claim["round-trip"]["counterexample"]
     assert by_claim["cardinality"]["status"] == "pass"
+
+
+def test_verify_flags_a_non_special_kernel_partition(cli, monkeypatch):
+    """A walk that emits a crossing partition must fail the cardinality claim."""
+    walk = ncpseq._kernels_py.special_partitions
+
+    def planted(n):
+        out = walk(n)
+        if n == 3:
+            out[0] = ((1, 4, 7), (2, 5), (3,), (6,))
+        return out
+
+    monkeypatch.setattr(ncpseq._kernels_py, "special_partitions", planted)
+    code, out, err = cli("verify", "--n-max", "4")
+    assert code == 1
+    by_claim = {c["claim"]: c for c in json.loads(out)["checks"]}
+    assert by_claim["cardinality"]["status"] == "fail"
+    assert by_claim["cardinality"]["counterexample"] == (
+        "n=3: 4 partitions, 5 sequences, catalan 5"
+    )
 
 
 def test_check_single_claim(cli):

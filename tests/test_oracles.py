@@ -6,6 +6,7 @@ from ncpseq import _kernels_py as kernels
 from ncpseq import (
     CheckReport,
     Composition,
+    Partition,
     ValidationError,
     catalan,
     check_floor_sum,
@@ -27,6 +28,7 @@ from ncpseq.verify import (
     min_blocks_suite,
     round_trip_suite,
     run_verify,
+    size_fixtures,
     special_structure_suite,
 )
 
@@ -170,6 +172,13 @@ def test_check_special_structure(n):
     assert report.count_checked == catalan_reference(n)
 
 
+def test_check_special_structure_reports_a_non_special_parent():
+    crossing = Partition(7, ((1, 3, 7), (2, 6), (4,), (5,)))
+    report = check_special_structure(3, partitions=[crossing])
+    assert not report.passed
+    assert report.counterexample == "1,3,7|2,6|4|5: not special (crossing blocks)"
+
+
 def test_check_max_ground():
     assert check_max_ground(0)
     assert check_max_ground(1)
@@ -219,6 +228,28 @@ def test_run_verify_report_schema():
     for check in report["checks"]:
         assert check["status"] == "pass"
         assert "counterexample" not in check
+
+
+def test_run_verify_walks_each_size_once(monkeypatch):
+    sizes = []
+    walk = kernels.special_partitions
+
+    def counting_walk(n):
+        sizes.append(n)
+        return walk(n)
+
+    monkeypatch.setattr(kernels, "special_partitions", counting_walk)
+    assert run_verify(5)["status"] == "pass"
+    assert sizes == [0, 1, 2, 3, 4, 5]
+
+
+def test_suites_alone_match_shared_fixtures():
+    fixtures = size_fixtures(4)
+    for suite in (cardinality_suite, round_trip_suite, special_structure_suite):
+        alone = suite(4).to_dict()
+        shared = suite(4, fixtures=fixtures).to_dict()
+        del alone["elapsed_ms"], shared["elapsed_ms"]
+        assert alone == shared
 
 
 def test_run_verify_input_validation():

@@ -11,6 +11,7 @@ from ncpseq import (
     ValidationError,
     arc_nesting_depths,
     decompose_pieces,
+    enumerate_special,
     format_partition,
     from_arcs,
     is_noncrossing,
@@ -105,6 +106,23 @@ def test_partition_constructor_validates():
         Partition(0, ())
 
 
+def test_partition_keeps_canonical_blocks_and_checks_them():
+    blocks = ((1, 5), (2, 4), (3,))
+    assert Partition(5, blocks).blocks is blocks
+    assert Partition(5, [(5, 1), (3,), (4, 2)]).blocks == blocks
+    assert Partition(5, ((2, 4), (1, 5), (3,))).blocks == blocks
+    with pytest.raises(ValidationError, match="element 3 missing"):
+        Partition(5, ((1, 5), (2, 4)))
+    with pytest.raises(ValidationError, match="outside"):
+        Partition(4, ((1, 5), (2, 4), (3,)))
+    with pytest.raises(ValidationError, match="duplicate"):
+        Partition(3, ((1, 3), (2, 3)))
+    with pytest.raises(ValidationError, match="not an integer"):
+        Partition(1, (("1",),))
+    with pytest.raises(ValidationError, match="not an integer"):
+        Partition(2, ((1,), (2.0,)))
+
+
 def test_str_matches_format():
     p = parse_partition("1,5|2,4|3")
     assert str(p) == "1,5|2,4|3"
@@ -196,6 +214,15 @@ def test_subpartition_examples():
     assert format_partition(subpartition(part13, 5, 1)) == "1,3|2"
 
 
+def test_subpartitions_pass_the_validating_constructor():
+    for n in range(6):
+        for p in enumerate_special(n):
+            for bi, block in enumerate(p.blocks, start=1):
+                for gi in range(1, len(block)):
+                    inner = subpartition(p, bi, gi)
+                    assert Partition(inner.ground_size, inner.blocks) == inner
+
+
 def test_subpartition_rejects_bad_indices():
     part13 = parse_partition(PART_13)
     with pytest.raises(ValidationError):
@@ -248,6 +275,15 @@ def test_arcs_round_trip_over_noncrossing_partitions():
             assert from_arcs(to_arcs(p)) == p
             count += 1
     assert count > 100
+
+
+def test_arcs_pass_the_validating_constructors():
+    for p in partitions_up_to(7):
+        if is_noncrossing(p):
+            d = to_arcs(p)
+            assert ArcDiagram(d.point_count, d.arcs) == d
+            q = from_arcs(d)
+            assert Partition(q.ground_size, q.blocks) == q
 
 
 def test_arc_count_is_ground_minus_blocks():
