@@ -10,6 +10,9 @@ Each stdin line is one input, and the stream stops at the first line
 that fails, with that line's exit code, after the results of the lines
 before it are printed.  A blank line is the n = 0 sequence for invert
 and a parse error (exit 2) for map.
+enumerate rejects, as a usage error, an n whose walk would recurse
+past the interpreter's recursion limit, and warns on stderr before
+listing above n = LISTING_N_CEILING.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
 as a sequence and inverted first.
@@ -41,6 +44,11 @@ from ncpseq.sequences import (
     generate_all,
     parse_sequence,
 )
+
+# enumerate lists every object at size n; above this n it warns first.
+LISTING_N_CEILING = 11
+# Frames left under the recursion limit for the callers of a walk.
+WALK_STACK_HEADROOM = 100
 
 CLAIMS = (
     "cardinality",
@@ -145,7 +153,38 @@ def _inputs(cfg: CliConfig) -> list[str]:
     return sys.stdin.read().splitlines()
 
 
+def _walk_depth_error(cfg: CliConfig) -> str | None:
+    """Why the walk for cfg would overflow the recursion limit, or None.
+
+    The special walk recurses once per element of [2n+1] plus once at
+    the end, the sequence walk once per position plus once.
+    """
+    if cfg.kind == "special":
+        walk, per_n, extra = "partition", 2, 2
+    else:
+        walk, per_n, extra = "sequence", 1, 1
+    room = sys.getrecursionlimit() - WALK_STACK_HEADROOM
+    if per_n * cfg.n + extra <= room:
+        return None
+    largest = (room - extra) // per_n
+    return (
+        f"--n {cfg.n} is too large: the {walk} walk recurses "
+        f"{per_n * cfg.n + extra} levels deep and the recursion limit "
+        f"{sys.getrecursionlimit()} allows n <= {largest}"
+    )
+
+
 def cmd_enumerate(cfg: CliConfig) -> int:
+    too_deep = _walk_depth_error(cfg)
+    if too_deep is not None:
+        return _fail(2, f"usage error: {too_deep}")
+    if not cfg.count_only and cfg.n > LISTING_N_CEILING:
+        print(
+            f"warning: n {cfg.n} is above the listing ceiling "
+            f"{LISTING_N_CEILING}; this lists catalan({cfg.n}) objects "
+            f"and may take a while",
+            file=sys.stderr,
+        )
     if cfg.kind == "special":
         if cfg.count_only:
             print(count_special(cfg.n))

@@ -18,8 +18,8 @@ from ncpseq._backend import kernels
 from ncpseq.errors import ValidationError
 from ncpseq.partitions import (
     Partition,
-    _gap_partition,
-    decompose_pieces,
+    _gap_blocks,
+    _pieces,
     format_partition,
     is_special,
     special_violation,
@@ -151,7 +151,9 @@ class CheckReport:
         return out
 
 
-def _structure_violation(p: Partition, top: int) -> str | None:
+def _structure_violation(
+    p: Partition, top: int, gap_verdicts: dict[tuple[int, tuple], bool]
+) -> str | None:
     if p.blocks[0][-1] != top:
         return f"1 and {top} in different blocks"
     for b in p.blocks:
@@ -159,15 +161,21 @@ def _structure_violation(p: Partition, top: int) -> str | None:
             if (y - x) % 2:
                 return f"odd gap between {x} and {y}"
     # Once p is known to be special, its gaps hold whole blocks and the
-    # subpartitions need no check of their own beyond the claim itself.
+    # subpartitions need no check of their own beyond the claim itself;
+    # it is also non-crossing, as the piece decomposition requires.
     reason = special_violation(p)
     if reason is not None:
         return f"not special ({reason})"
     for bi, b in enumerate(p.blocks, start=1):
         for gi in range(1, len(b)):
-            if not is_special(_gap_partition(p, b[gi - 1], b[gi])):
+            lo, hi = b[gi - 1], b[gi]
+            key = (hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
+            verdict = gap_verdicts.get(key)
+            if verdict is None:
+                verdict = gap_verdicts[key] = is_special(Partition._trusted(*key))
+            if not verdict:
                 return f"subpartition at block {bi}, gap {gi} is not special"
-    if len(decompose_pieces(p)) != 1:
+    if len(_pieces(p.blocks)) != 1:
         return "more than one piece"
     return None
 
@@ -181,15 +189,19 @@ def check_special_structure(
     block differ by an even amount; every subpartition is special; the
     piece decomposition is a single piece.  partitions, when given, is
     the enumeration of size n to check instead of walking it again.
+
+    Many parents share a gap partition, so the is_special verdict of
+    each distinct one is kept for the rest of this call.
     """
     started = time.perf_counter()
     if partitions is None:
         partitions = enumerate_special(n)
+    gap_verdicts: dict[tuple[int, tuple], bool] = {}
     checked = 0
     failure = None
     for p in partitions:
         checked += 1
-        reason = _structure_violation(p, 2 * n + 1)
+        reason = _structure_violation(p, 2 * n + 1, gap_verdicts)
         if reason is not None:
             failure = f"{format_partition(p)}: {reason}"
             break

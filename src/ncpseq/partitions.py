@@ -19,11 +19,18 @@ valid diagram left endpoints are pairwise distinct, right endpoints are
 pairwise distinct, and no two arcs cross (sharing an endpoint is fine);
 blocks are exactly the maximal chains of arcs linked by shared
 endpoints.
+
+The special verdict of a Partition is computed once per object:
+special_violation stores its answer on the instance, outside the
+dataclass fields, so equality, hashing and repr do not see it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from ncpseq.errors import ParseError, ValidationError
@@ -67,6 +74,12 @@ class Partition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def _special_verdict(self) -> str | None:
+        # Not a field: cached_property writes the instance __dict__
+        # directly, past the frozen __setattr__.
+        return _special_checks(self)
 
 
 def _is_canonical(blocks: object) -> bool:
@@ -185,8 +198,13 @@ def special_violation(p: Partition) -> str | None:
     """Name the first special-partition condition p breaks, or None.
 
     Checks in definition order: odd ground size 2n+1, exactly n+1
-    blocks, non-crossing, no two consecutive integers in a block.
+    blocks, non-crossing, no two consecutive integers in a block.  The
+    checks run on the first call for p; later calls return that answer.
     """
+    return p._special_verdict
+
+
+def _special_checks(p: Partition) -> str | None:
     if p.ground_size % 2 == 0:
         return f"even ground size {p.ground_size}"
     want = (p.ground_size + 1) // 2
@@ -247,7 +265,11 @@ def decompose_pieces(p: Partition) -> PieceList:
     """
     if not is_noncrossing(p):
         raise ValidationError("pieces are only defined for non-crossing partitions")
-    blocks = p.blocks
+    return PieceList(_pieces(p.blocks))
+
+
+def _pieces(blocks: tuple[Block, ...]) -> tuple[tuple[Block, ...], ...]:
+    """Unchecked core of decompose_pieces: blocks must be non-crossing."""
     pieces = []
     i = 0
     while i < len(blocks):
@@ -257,7 +279,7 @@ def decompose_pieces(p: Partition) -> PieceList:
             j += 1
         pieces.append(blocks[i:j])
         i = j
-    return PieceList(tuple(pieces))
+    return tuple(pieces)
 
 
 def subpartition(p: Partition, block_index: int, gap_index: int) -> Partition:
@@ -281,21 +303,24 @@ def subpartition(p: Partition, block_index: int, gap_index: int) -> Partition:
         raise ValidationError("the chosen block has no gap")
     if not 1 <= gap_index < len(block):
         raise ValidationError(f"gap index {gap_index} out of range")
-    return _gap_partition(p, block[gap_index - 1], block[gap_index])
+    lo, hi = block[gap_index - 1], block[gap_index]
+    return Partition._trusted(hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
 
 
-def _gap_partition(p: Partition, lo: int, hi: int) -> Partition:
+def _gap_blocks(blocks: tuple[Block, ...], lo: int, hi: int) -> tuple[Block, ...]:
     """The blocks strictly between lo and hi, shifted down to start at 1.
 
-    Unchecked core of subpartition: p must be special and lo, hi
-    consecutive elements of one of its blocks.  Non-crossing then makes
-    the elements between them whole blocks of p, so the result is a
-    canonical partition without any further check.
+    Unchecked core of subpartition: blocks must be those of a special
+    partition and lo, hi consecutive elements of one of them.
+    Non-crossing then makes the elements between them whole blocks,
+    the run whose least elements lie in (lo, hi), so the result is a
+    canonical partition of {1..hi-lo-1} without any further check.
+    Blocks are ordered by least element, so the run is found by
+    bisection.
     """
-    inner = tuple(
-        tuple(x - lo for x in b) for b in p.blocks if lo < b[0] < hi
-    )
-    return Partition._trusted(hi - lo - 1, inner)
+    first = bisect_left(blocks, lo + 1, key=itemgetter(0))
+    stop = bisect_left(blocks, hi, lo=first, key=itemgetter(0))
+    return tuple([tuple([x - lo for x in b]) for b in blocks[first:stop]])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ import pytest
 
 import ncpseq._kernels_py
 import ncpseq.bijection
+import ncpseq.cli
+import ncpseq.partitions
 from ncpseq import CatSeq
 from ncpseq.cli import main
 
@@ -42,6 +44,56 @@ def test_enumerate_count_only(cli):
         0,
         "132\n",
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "500", "--count-only"),
+        ("--n", "500"),
+        ("--n", "1000", "--kind", "sequences", "--count-only"),
+    ],
+)
+def test_enumerate_rejects_walks_deeper_than_the_recursion_limit(cli, argv):
+    code, out, err = cli("enumerate", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --n ") and err.count("\n") == 1
+    assert f"recursion limit {sys.getrecursionlimit()}" in err
+
+
+@pytest.mark.parametrize(
+    "kind, largest, per_n, extra, count",
+    [("special", 5, 2, 2, "42\n"), ("sequences", 6, 1, 1, "132\n")],
+)
+def test_enumerate_depth_bound_follows_the_recursion_limit(
+    cli, kind, largest, per_n, extra, count
+):
+    """With the limit set so n = largest is the deepest walk allowed, it runs."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(ncpseq.cli.WALK_STACK_HEADROOM + per_n * largest + extra)
+    try:
+        ok = cli("enumerate", "--kind", kind, "--n", str(largest), "--count-only")
+        listed = cli("enumerate", "--kind", kind, "--n", str(largest))
+        too_deep = cli("enumerate", "--kind", kind, "--n", str(largest + 1))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert ok == (0, count, "")
+    assert listed[0] == 0 and listed[1].count("\n") == int(count)
+    assert too_deep[:2] == (2, "")
+    assert too_deep[2].startswith("usage error:")
+    assert f"allows n <= {largest}\n" in too_deep[2]
+
+
+def test_enumerate_warns_above_the_listing_ceiling(cli, monkeypatch):
+    monkeypatch.setattr(ncpseq.cli, "enumerate_special", lambda n: iter(()))
+    monkeypatch.setattr(ncpseq.cli, "generate_all", lambda n: iter(()))
+    for kind in ("special", "sequences"):
+        assert cli("enumerate", "--kind", kind, "--n", "11") == (0, "", "")
+        code, out, err = cli("enumerate", "--kind", kind, "--n", "12")
+        assert (code, out) == (0, "")
+        assert err.startswith("warning: n 12 is above the listing ceiling 11")
+    monkeypatch.setattr(ncpseq.cli, "count_special", lambda n: 0)
+    assert cli("enumerate", "--n", "12", "--count-only") == (0, "0\n", "")
 
 
 def test_enumerate_rejects_negative_n(cli):
@@ -102,6 +154,17 @@ def test_map_parse_and_validation_codes(cli):
 def test_map_reads_stdin_lines(cli):
     code, out, err = cli("map", stdin="1,3,5|2|4\n1,5|2,4|3\n")
     assert (code, out) == (0, "1 1\n1 2\n")
+
+
+def test_map_checks_each_input_once(cli, monkeypatch):
+    scans = []
+    real = ncpseq.partitions.is_noncrossing
+    monkeypatch.setattr(
+        ncpseq.partitions, "is_noncrossing", lambda p: scans.append(p) or real(p)
+    )
+    code, out, err = cli("map", stdin=f"1,3,5|2|4\n1,5|2,4|3\n{PART_13}\n")
+    assert (code, out) == (0, "1 1\n1 2\n1 2 3 1 1 6\n")
+    assert len(scans) == 3
 
 
 def test_invert_worked_example(cli):
@@ -222,6 +285,25 @@ def test_verify_flags_a_non_special_kernel_partition(cli, monkeypatch):
     assert by_claim["cardinality"]["counterexample"] == (
         "n=3: 4 partitions, 5 sequences, catalan 5"
     )
+
+
+def test_verify_flags_a_wrong_inverse_answer(cli, monkeypatch):
+    """Two swapped n=3 answers of inverse fail round-trip at the first partition."""
+    real = ncpseq.bijection.inverse
+    a, b = CatSeq((1, 1, 2)), CatSeq((1, 2, 3))
+
+    def planted(s):
+        return real(b if s == a else a if s == b else s)
+
+    monkeypatch.setattr(ncpseq.bijection, "inverse", planted)
+    code, out, err = cli("verify", "--n-max", "4")
+    assert code == 1
+    by_claim = {c["claim"]: c for c in json.loads(out)["checks"]}
+    assert by_claim["round-trip"]["counterexample"] == (
+        "inverse(forward(1,5,7|2,4|3|6)) = 1,7|2,6|3,5|4"
+    )
+    assert by_claim["round-trip"]["count_checked"] == 39
+    assert by_claim["cardinality"]["status"] == "pass"
 
 
 def test_check_single_claim(cli):

@@ -2,6 +2,9 @@
 
 import pytest
 
+import ncpseq.bijection
+import ncpseq.oracles
+import ncpseq.partitions
 from ncpseq import _kernels_py as kernels
 from ncpseq import (
     CheckReport,
@@ -14,12 +17,16 @@ from ncpseq import (
     check_special_structure,
     compositions,
     count_all,
+    decompose_pieces,
     count_special,
     count_ssp,
     enumerate_special,
     enumerate_ssp,
     format_partition,
+    is_special,
     min_ssp_blocks,
+    special_violation,
+    subpartition,
 )
 from ncpseq.verify import (
     cardinality_suite,
@@ -28,9 +35,11 @@ from ncpseq.verify import (
     min_blocks_suite,
     round_trip_suite,
     run_verify,
+    SizeFixture,
     size_fixtures,
     special_structure_suite,
 )
+from ncpseq.sequences import format_sequence
 
 from bruteforce import catalan_reference, special_by_filter, ssp_by_filter
 
@@ -177,6 +186,133 @@ def test_check_special_structure_reports_a_non_special_parent():
     report = check_special_structure(3, partitions=[crossing])
     assert not report.passed
     assert report.counterexample == "1,3,7|2,6|4|5: not special (crossing blocks)"
+
+
+def structure_reference(n, special):
+    """check_special_structure without the memo: every gap goes through
+    subpartition and special, the pieces through decompose_pieces."""
+    top = 2 * n + 1
+    checked = 0
+    for p in enumerate_special(n):
+        checked += 1
+        gaps = [(x, y) for b in p.blocks for x, y in zip(b, b[1:])]
+        odd = [(x, y) for x, y in gaps if (y - x) % 2]
+        reason = None
+        if p.blocks[0][-1] != top:
+            reason = f"1 and {top} in different blocks"
+        elif odd:
+            reason = f"odd gap between {odd[0][0]} and {odd[0][1]}"
+        elif special_violation(p) is not None:
+            reason = f"not special ({special_violation(p)})"
+        else:
+            bad = [
+                (bi, gi)
+                for bi, b in enumerate(p.blocks, start=1)
+                for gi in range(1, len(b))
+                if not special(subpartition(p, bi, gi))
+            ]
+            if bad:
+                reason = f"subpartition at block {bad[0][0]}, gap {bad[0][1]} is not special"
+            elif len(decompose_pieces(p)) != 1:
+                reason = "more than one piece"
+        if reason is not None:
+            return checked, f"{format_partition(p)}: {reason}"
+    return checked, None
+
+
+def rejecting(shape):
+    """is_special, except that the partition with text shape is refused."""
+    return lambda p: format_partition(p) != shape and is_special(p)
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("shape", [None, "1", "1,5|2,4|3", "1,7|2,4,6|3|5"])
+def test_check_special_structure_matches_a_memo_free_reference(n, shape, monkeypatch):
+    special = is_special if shape is None else rejecting(shape)
+    want = structure_reference(n, special)
+    monkeypatch.setattr(ncpseq.oracles, "is_special", special)
+    report = check_special_structure(n)
+    assert (report.count_checked, report.counterexample) == want
+    assert report.passed == (want[1] is None)
+
+
+def test_structure_check_judges_each_distinct_gap_once(monkeypatch):
+    n = 6
+    gaps = {
+        subpartition(p, bi, gi)
+        for p in enumerate_special(n)
+        for bi, b in enumerate(p.blocks, start=1)
+        for gi in range(1, len(b))
+    }
+    judged = []
+    monkeypatch.setattr(
+        ncpseq.oracles, "is_special", lambda p: judged.append(p) or is_special(p)
+    )
+    scans = []
+    real = ncpseq.partitions.is_noncrossing
+    monkeypatch.setattr(
+        ncpseq.partitions, "is_noncrossing", lambda p: scans.append(p) or real(p)
+    )
+    assert check_special_structure(n).passed
+    assert sorted(judged, key=format_partition) == sorted(gaps, key=format_partition)
+    # One scan per parent, in its special check, and one per distinct gap.
+    assert len(scans) == catalan(n) + len(gaps)
+
+
+def test_structure_suite_does_not_call_decompose_pieces(monkeypatch):
+    def forbidden(p):
+        raise AssertionError("decompose_pieces re-checks a known non-crossing partition")
+
+    monkeypatch.setattr(ncpseq.partitions, "decompose_pieces", forbidden)
+    monkeypatch.setattr(ncpseq.oracles, "decompose_pieces", forbidden, raising=False)
+    assert special_structure_suite(6).passed
+
+
+def test_a_refused_gap_shape_gives_the_first_structure_counterexample(monkeypatch):
+    monkeypatch.setattr(ncpseq.oracles, "is_special", rejecting("1,5|2,4|3"))
+    report = special_structure_suite(6)
+    assert not report.passed
+    assert report.count_checked == 24
+    assert report.counterexample == (
+        "1,7|2,6|3,5|4: subpartition at block 1, gap 1 is not special"
+    )
+
+
+def test_round_trip_runs_each_map_once_per_object(monkeypatch):
+    calls = {"forward": 0, "inverse": 0}
+    for name in calls:
+        real = getattr(ncpseq.bijection, name)
+
+        def counted(x, name=name, real=real):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(ncpseq.bijection, name, counted)
+    report = round_trip_suite(6)
+    objects = sum(catalan(n) for n in range(7))
+    assert report.passed
+    assert report.count_checked == 2 * objects
+    assert calls == {"forward": objects, "inverse": objects}
+
+
+def test_round_trip_checks_the_sequences_no_partition_reached(monkeypatch):
+    """A member of S_n missing from the forward images is still inverted."""
+    fixtures = list(size_fixtures(3))
+    fx = fixtures[3]
+    dropped, kept = fx.partitions[0], fx.partitions[1:]
+    fixtures[3] = SizeFixture(3, kept, fx.sequences)
+    real_forward, real_inverse = ncpseq.bijection.forward, ncpseq.bijection.inverse
+    orphan, other = real_forward(dropped), real_forward(kept[0])
+    monkeypatch.setattr(
+        ncpseq.bijection,
+        "inverse",
+        lambda s: real_inverse(other if s == orphan else s),
+    )
+    report = round_trip_suite(3, fixtures=fixtures)
+    assert report.counterexample == (
+        f"forward(inverse({format_sequence(orphan)})) = {format_sequence(other)}"
+    )
+    assert report.count_checked == 8 + len(kept) + 1 + fx.sequences.index(orphan)
 
 
 def test_check_max_ground():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncpseq.partitions
 from ncpseq import (
     ArcDiagram,
     ParseError,
@@ -174,6 +175,29 @@ def test_special_violation_messages():
     assert special_violation(parse_partition("1,4,5|2|3")) == (
         "consecutive integers 4,5 in one block"
     )
+
+
+@pytest.mark.parametrize(
+    "text", [PART_13, "1", "1,3|2,4", "1,3,5|2,4", "1,3|2,4|5", "1,4,5|2|3"]
+)
+def test_special_violation_is_computed_once_per_object(text, monkeypatch):
+    scans = []
+    real = ncpseq.partitions.is_noncrossing
+    monkeypatch.setattr(
+        ncpseq.partitions, "is_noncrossing", lambda p: scans.append(p) or real(p)
+    )
+    p = parse_partition(text)
+    first = special_violation(p)
+    reached = len(scans)
+    assert reached <= 1
+    assert special_violation(p) == first
+    assert is_special(p) == (first is None)
+    assert len(scans) == reached
+    # The stored verdict is not a field: a fresh, unchecked object is
+    # equal, hashes alike, prints alike, and reaches the same verdict.
+    fresh = parse_partition(text)
+    assert (fresh, hash(fresh), repr(fresh)) == (p, hash(p), repr(p))
+    assert special_violation(fresh) == first
 
 
 def test_pieces_examples():
