@@ -1,4 +1,4 @@
-"""Enumeration kernels: the walks behind every listing and count.
+"""Enumeration kernels: the walks behind every listing, and the counts.
 
 The recursions are self-contained on purpose.  They never touch the
 bijection, so their output can referee it.
@@ -14,12 +14,47 @@ target prunes every branch that can no longer reach it; the pruning
 only removes branches that emit nothing, so the emission order is that
 of the unpruned walk.
 
-Sequence walk: fill positions n..1 with values 1..bound; fixing
-position q to m lowers the bound at each earlier position p to
-min(old, m - (q - p)).
+The walk builds each partition as it goes: it keeps one list per
+block, appends e to the block it opens or joins and pops it again on
+backtrack, so a leaf only freezes the lists.  Those blocks are a
+canonical partition of [m] by construction: every element 1..m is
+appended exactly once, to exactly one block; elements arrive in
+increasing order, so each block is ascending and is opened by its
+least element; and blocks are listed in the order they were opened,
+which is the order of their least elements.
+
+Sequence walk: fill positions n..1 with values 1..bound, smaller
+values first.  Setting s_q = m puts the interval (q - m, q] over the
+positions q - m + 1..q (see ncpseq.sequences: in a member these
+intervals nest), and the bound at q is q minus the start of the
+innermost interval already set over q, or q when there is none.  That
+is the governing bound min(old, m - (q - p)) of the sequences module,
+kept as a stack of interval starts instead of a bound per position.
+
+Counts are dynamic programs that never walk, and never recurse:
+
+* Partitions.  What the walk can still do at element e depends only
+  on the stack depth k and the number c of blocks created so far, so
+  the number of leaves is the number of choice runs from (k, c) =
+  (0, 0) at e = 1 to a state the walk emits at e = m + 1.  From
+  (k, c), opening leads to (k + 1, c + 1) and joining leads to
+  (k', c) for each 1 <= k' <= k - 1, so the runs into (k', c) by a
+  join are a suffix sum over the depths above k'.  The table drops
+  every state the walk's bound prunes, which only removes runs that
+  emit nothing.  Without a target the block count does not matter,
+  and every run keeps c = 0.
+* Sequences.  s is in S_n iff the intervals (i - s_i, i] nest
+  (sequences.sequence_violation), which a left-to-right scan checks
+  with a stack of end points: entry i closes onto one of them, pops
+  those above it and pushes i.  From k end points above 0, entry i
+  can close onto any of the k + 1 boundaries, leaving 1..k + 1 end
+  points above 0, and distinct choices give distinct sequences; the
+  count of S_n is the number of such runs of length n from k = 0.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 PartitionBlocks = tuple[tuple[int, ...], ...]
 
@@ -32,8 +67,8 @@ def ssp_partitions(m: int) -> list[PartitionBlocks]:
 
 
 def count_ssp_partitions(m: int) -> int:
-    """Number of semi-special partitions of [m], by the same walk."""
-    return _partition_walk(m, None, None)
+    """Number of semi-special partitions of [m]: the leaves of their walk."""
+    return _count_partition_leaves(m, None)
 
 
 def special_partitions(n: int) -> list[PartitionBlocks]:
@@ -44,48 +79,72 @@ def special_partitions(n: int) -> list[PartitionBlocks]:
 
 
 def count_special_partitions(n: int) -> int:
-    """Number of special partitions of [2n+1], by the same walk."""
-    return _partition_walk(2 * n + 1, n + 1, None)
+    """Number of special partitions of [2n+1]: the leaves of their walk."""
+    return _count_partition_leaves(2 * n + 1, n + 1)
 
 
-def _partition_walk(
-    m: int, target: int | None, out: list[PartitionBlocks] | None
-) -> int:
+def _partition_walk(m: int, target: int | None, out: list[PartitionBlocks]) -> None:
     if m < 1:
         raise ValueError("ground size must be at least 1")
-    owner = [0] * (m + 1)
-    count = 0
+    members: list[list[int]] = []
 
-    def emit(created: int) -> None:
-        members: list[list[int]] = [[] for _ in range(created)]
-        for e in range(1, m + 1):
-            members[owner[e]].append(e)
-        out.append(tuple(tuple(b) for b in members))
-
-    def rec(e: int, stack: tuple[int, ...], created: int) -> None:
-        nonlocal count
+    def rec(e: int, stack: tuple[list[int], ...]) -> None:
         if target is not None:
             # Each of the r elements left either opens a block or joins
             # one strictly below the top, popping at least one of the k
             # open blocks, and the stack never empties: so at least
             # ceil((r - k + 1) / 2) of them must open a block.
-            need = target - created
+            need = target - len(members)
             r = m - e + 1
             if not 0 <= need <= r or 2 * need < r - len(stack) + 1:
                 return
         if e > m:
-            count += 1
-            if out is not None:
-                emit(created)
+            out.append(tuple(map(tuple, members)))
             return
-        owner[e] = created
-        rec(e + 1, stack + (created,), created + 1)
+        block = [e]
+        members.append(block)
+        rec(e + 1, stack + (block,))
+        members.pop()
         for t in range(len(stack) - 2, -1, -1):
-            owner[e] = stack[t]
-            rec(e + 1, stack[: t + 1], created)
+            block = stack[t]
+            block.append(e)
+            rec(e + 1, stack[: t + 1])
+            block.pop()
 
-    rec(1, (), 0)
-    return count
+    rec(1, ())
+
+
+def _count_partition_leaves(m: int, target: int | None) -> int:
+    if m < 1:
+        raise ValueError("ground size must be at least 1")
+    opens = 0 if target is None else 1  # what opening a block adds to c
+
+    def pruned(runs: dict[tuple[int, int], int], e: int) -> dict[tuple[int, int], int]:
+        if target is None:
+            return runs
+        r = m - e + 1  # the walk's bound, as in _partition_walk
+        return {
+            (k, c): v
+            for (k, c), v in runs.items()
+            if 0 <= target - c <= r and 2 * (target - c) >= r - k + 1
+        }
+
+    runs = {(0, 0): 1}  # (depth k, created c) -> choice runs that reach element e
+    for e in range(1, m + 1):
+        nxt: dict[tuple[int, int], int] = {}
+        rows: dict[int, dict[int, int]] = {}
+        for (k, c), v in pruned(runs, e).items():
+            nxt[k + 1, c + opens] = nxt.get((k + 1, c + opens), 0) + v
+            rows.setdefault(c, {})[k] = v
+        for c, row in rows.items():
+            # Join targets the bound cuts at e + 1 are not stored at all.
+            lo = 1 if target is None else max(1, m - e + 1 - 2 * (target - c))
+            above = 0
+            for k in range(max(row) - 1, lo - 1, -1):
+                above += row.get(k + 1, 0)
+                nxt[k, c] = nxt.get((k, c), 0) + above
+        runs = nxt
+    return sum(pruned(runs, m + 1).values())
 
 
 def ssp_min_blocks(m: int) -> int:
@@ -124,35 +183,36 @@ def catalan_sequences(n: int) -> list[tuple[int, ...]]:
 
 
 def count_catalan_sequences(n: int) -> int:
-    """|S_n|, counted by the same walk as catalan_sequences."""
+    """|S_n|, by the end-point stack count: O(n^2) additions, no walk."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _sequence_walk(n, None)
+    runs = [1]  # runs[k]: prefixes that leave k end points above 0
+    for _ in range(n):
+        # Closing onto end point e_j (e_0 = 0, j <= k) leaves j + 1 end
+        # points above 0, so the runs into j + 1 are the suffix sum of
+        # runs over k >= j.
+        suffix = list(accumulate(reversed(runs)))
+        suffix.reverse()
+        runs = [0, *suffix]
+    return sum(runs)
 
 
-def _sequence_walk(n: int, out: list[tuple[int, ...]] | None) -> int:
-    values = [0] * (n + 1)
-    bounds = list(range(n + 1))
-    count = 0
+def _sequence_walk(n: int, out: list[tuple[int, ...]]) -> None:
+    values = [0] * n
 
-    def rec(q: int) -> None:
-        nonlocal count
+    def rec(q: int, starts: tuple[int, ...]) -> None:
+        # starts: 0, then the starts of the set intervals covering q,
+        # innermost last.
         if q == 0:
-            count += 1
-            if out is not None:
-                out.append(tuple(values[1:]))
+            out.append(tuple(values))
             return
-        for m in range(1, bounds[q] + 1):
-            values[q] = m
-            undo = []
-            for p in range(max(1, q - m + 1), q):
-                cap = m - (q - p)
-                if cap < bounds[p]:
-                    undo.append((p, bounds[p]))
-                    bounds[p] = cap
-            rec(q - 1)
-            for p, old in undo:
-                bounds[p] = old
+        bound = q - starts[-1]
+        while len(starts) > 1 and starts[-1] == q - 1:
+            starts = starts[:-1]  # intervals that start at q - 1 stop covering it
+        values[q - 1] = 1  # (q - 1, q] covers no earlier position
+        rec(q - 1, starts)
+        for m in range(2, bound + 1):
+            values[q - 1] = m
+            rec(q - 1, starts + (q - m,))
 
-    rec(n)
-    return count
+    rec(n, (0,))

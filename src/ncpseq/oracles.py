@@ -1,10 +1,10 @@
 """Independent enumerators and executable checks for the structural claims.
 
-Everything here counts or verifies by direct search.  The enumerators
-build partitions element by element and never consult the bijection,
-so they can referee it; the checks re-derive each structural fact over
-a full enumeration range and report the first counterexample in
-canonical text, smallest first.
+The enumerators build partitions element by element and the counters
+count the same walks by dynamic programming; neither consults the
+bijection, so they can referee it.  The checks re-derive each
+structural fact by direct search over a full enumeration range and
+report the first counterexample in canonical text, smallest first.
 """
 
 from __future__ import annotations
@@ -34,32 +34,41 @@ def catalan(n: int) -> int:
 
 
 def enumerate_special(n: int) -> Iterator[Partition]:
-    """Every special partition of [2n+1], by canonical text order."""
+    """Every special partition of [2n+1], by canonical text order.
+
+    The kernel builds each one as a canonical partition of [2n+1] (see
+    ncpseq._kernels_py), so its blocks are wrapped without a second
+    check; the special conditions are left to special_violation.
+    """
     if n < 0:
         raise ValidationError("n must be >= 0")
-    parts = [Partition(2 * n + 1, blocks) for blocks in kernels.special_partitions(n)]
+    m = 2 * n + 1
+    parts = [Partition._trusted(m, blocks) for blocks in kernels.special_partitions(n)]
     parts.sort(key=format_partition)
     return iter(parts)
 
 
 def count_special(n: int) -> int:
-    """Number of special partitions of [2n+1], without materializing them."""
+    """Number of special partitions of [2n+1], counted without a walk."""
     if n < 0:
         raise ValidationError("n must be >= 0")
     return kernels.count_special_partitions(n)
 
 
 def enumerate_ssp(m: int) -> Iterator[Partition]:
-    """Every semi-special partition of [m], by canonical text order."""
+    """Every semi-special partition of [m], by canonical text order.
+
+    Wrapped as built, as in enumerate_special.
+    """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    parts = [Partition(m, blocks) for blocks in kernels.ssp_partitions(m)]
+    parts = [Partition._trusted(m, blocks) for blocks in kernels.ssp_partitions(m)]
     parts.sort(key=format_partition)
     return iter(parts)
 
 
 def count_ssp(m: int) -> int:
-    """Number of semi-special partitions of [m]."""
+    """Number of semi-special partitions of [m], counted without a walk."""
     if m < 1:
         raise ValidationError("m must be >= 1")
     return kernels.count_ssp_partitions(m)

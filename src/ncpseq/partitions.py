@@ -153,7 +153,7 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(p: Partition) -> str:
     """Canonical text: blocks joined by "|", elements by ",", no spaces."""
-    return BLOCK_SEP.join(ELEMENT_SEP.join(str(x) for x in b) for b in p.blocks)
+    return BLOCK_SEP.join([ELEMENT_SEP.join(map(str, b)) for b in p.blocks])
 
 
 def is_noncrossing(p: Partition) -> bool:

@@ -5,9 +5,15 @@ S_n holds the integer sequences s_1..s_n satisfying
   (i)  1 <= s_i <= i, and
   (ii) s_i = j implies s_{i-r} <= j - r for 1 <= r <= j - 1,
 
-and |S_n| is the n-th Catalan number.  Members are built by fixing
-positions n, n-1, .., 1 in that order.  Alongside the values, the
-construction keeps a bounds sequence g: at a still-unset position q,
+and |S_n| is the n-th Catalan number.  Condition (ii) says that the
+intervals (i - s_i, i] nest: each one either holds an earlier one whole
+or misses it.  So in a member the maximal intervals among the first
+i - 1 tile (0, i - 1], and i - s_i must be one of their end points;
+membership is one left-to-right pass over a stack of those end points.
+
+Members are built by fixing positions n, n-1, .., 1 in that order.
+Alongside the values, the construction keeps a bounds sequence g: at a
+still-unset position q,
 
   g_q = min(q, min over set positions p > q of s_p - (p - q)),
 
@@ -29,7 +35,27 @@ from ncpseq.errors import ParseError, ValidationError
 
 
 def sequence_violation(entries: Sequence[int]) -> str | None:
-    """Name the first broken membership condition, or None if s is in S_n."""
+    """Name the first broken membership condition, or None if s is in S_n.
+
+    Members pass in one O(n) pass over the end points of the maximal
+    intervals so far; anything else is handed to the full scan, which
+    names the first broken condition.
+    """
+    ends = [0]
+    for i, v in enumerate(entries, start=1):
+        if type(v) is not int or not 1 <= v <= i:
+            return _scan_violation(entries)
+        start = i - v
+        while ends[-1] > start:
+            ends.pop()
+        if ends[-1] != start:
+            return _scan_violation(entries)
+        ends.append(i)
+    return None
+
+
+def _scan_violation(entries: Sequence[int]) -> str | None:
+    # Conditions (i) then (ii) as stated, index by index: O(sum of s_i).
     for i, v in enumerate(entries, start=1):
         if not isinstance(v, int) or isinstance(v, bool):
             return f"entry {i} is not an integer"
@@ -92,7 +118,7 @@ def parse_sequence(text: str) -> CatSeq:
 
 def format_sequence(s: CatSeq) -> str:
     """Canonical text: entries joined by single spaces."""
-    return " ".join(str(v) for v in s.entries)
+    return " ".join(map(str, s.entries))
 
 
 @dataclass(frozen=True)
@@ -198,7 +224,7 @@ def generate_all(n: int) -> Iterator[CatSeq]:
 
 
 def count_all(n: int) -> int:
-    """|S_n|, counted by the same walk that backs generate_all."""
+    """|S_n|, counted without a walk (see ncpseq._kernels_py)."""
     if n < 0:
         raise ValidationError("n must be >= 0")
     return kernels.count_catalan_sequences(n)

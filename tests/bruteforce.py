@@ -79,3 +79,11 @@ def sequences_by_filter(n):
         if ok:
             found.append(cand)
     return found
+
+
+def motzkin_reference(n):
+    """M_0..M_n by the recurrence M_k = M_{k-1} + sum_j M_j M_{k-2-j}, no table."""
+    m = [1, 1]
+    for k in range(2, n + 1):
+        m.append(m[k - 1] + sum(m[j] * m[k - 2 - j] for j in range(k - 1)))
+    return m[: n + 1]

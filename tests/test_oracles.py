@@ -1,5 +1,7 @@
 """Independent enumerators, counting identities, claim checks, suites."""
 
+import sys
+
 import pytest
 
 import ncpseq.bijection
@@ -39,9 +41,15 @@ from ncpseq.verify import (
     size_fixtures,
     special_structure_suite,
 )
+from ncpseq.partitions import _is_canonical
 from ncpseq.sequences import format_sequence
 
-from bruteforce import catalan_reference, special_by_filter, ssp_by_filter
+from bruteforce import (
+    catalan_reference,
+    motzkin_reference,
+    special_by_filter,
+    ssp_by_filter,
+)
 
 MOTZKIN = (1, 1, 2, 4, 9, 21, 51, 127, 323)
 
@@ -95,8 +103,83 @@ def test_special_walk_is_the_unpruned_walk_filtered(n):
 
 
 def test_special_count_is_catalan():
-    for n in range(12):
+    for n in [*range(61), 150]:
         assert kernels.count_special_partitions(n) == catalan(n)
+
+
+def test_ssp_count_is_motzkin_by_its_recurrence():
+    motzkin = motzkin_reference(99)
+    for m in range(1, 101):
+        assert count_ssp(m) == motzkin[m - 1]
+
+
+@pytest.mark.parametrize(
+    "count, listing, sizes",
+    [
+        (kernels.count_special_partitions, kernels.special_partitions, range(11)),
+        (kernels.count_ssp_partitions, kernels.ssp_partitions, range(1, 15)),
+        (kernels.count_catalan_sequences, kernels.catalan_sequences, range(12)),
+    ],
+)
+def test_each_count_is_the_length_of_its_listing(count, listing, sizes):
+    for size in sizes:
+        assert count(size) == len(listing(size))
+
+
+def test_counters_do_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        special = count_special(150)
+        sequences = count_all(899)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert special == catalan(150)
+    assert sequences == catalan(899)
+
+
+def test_counters_consult_neither_catalan_nor_the_bijection(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a counter must count on its own")
+
+    for module, name in [
+        (ncpseq.oracles, "catalan"),
+        (ncpseq.bijection, "forward"),
+        (ncpseq.bijection, "inverse"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert [count_special(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+    assert [count_ssp(m) for m in range(1, 7)] == [1, 1, 2, 4, 9, 21]
+    assert [count_all(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+
+
+@pytest.mark.parametrize(
+    "listing, sizes, ground",
+    [
+        (enumerate_special, range(9), lambda n: 2 * n + 1),
+        (enumerate_ssp, range(1, 13), lambda m: m),
+    ],
+)
+def test_kernel_partitions_are_what_the_public_constructor_builds(listing, sizes, ground):
+    for size in sizes:
+        for p in listing(size):
+            assert _is_canonical(p.blocks)
+            assert Partition(ground(size), p.blocks) == p
+
+
+def test_enumerate_special_wraps_kernel_blocks_unchecked(monkeypatch):
+    calls = []
+    real = ncpseq.partitions._check_partition
+
+    def counting(m, blocks):
+        calls.append(m)
+        return real(m, blocks)
+
+    monkeypatch.setattr(ncpseq.partitions, "_check_partition", counting)
+    assert len(list(enumerate_special(6))) == 132
+    assert calls == []
+    Partition(3, ((1, 3), (2,)))
+    assert calls == [3]
 
 
 def test_kernels_reject_bad_sizes():
@@ -106,6 +189,12 @@ def test_kernels_reject_bad_sizes():
         kernels.special_partitions(-1)
     with pytest.raises(ValueError):
         kernels.catalan_sequences(-1)
+    with pytest.raises(ValueError):
+        kernels.count_ssp_partitions(0)
+    with pytest.raises(ValueError):
+        kernels.count_special_partitions(-1)
+    with pytest.raises(ValueError):
+        kernels.count_catalan_sequences(-1)
 
 
 def test_enumerator_input_validation():

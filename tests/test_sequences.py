@@ -1,5 +1,8 @@
 """Sequence membership, the governing-bounds machinery, generation."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from ncpseq import (
     ParseError,
     ValidationError,
     bounds_from_scratch,
+    catalan,
     count_all,
     format_sequence,
     generate_all,
@@ -19,6 +23,7 @@ from ncpseq import (
     set_value,
     validate_sequence,
 )
+from ncpseq.sequences import _scan_violation
 
 from bruteforce import catalan_reference, sequences_by_filter
 
@@ -34,6 +39,15 @@ def test_violation_messages():
     assert sequence_violation((2,)) == "s_1 = 2 outside 1..1"
     assert sequence_violation((1, 2, 2)) == "s_3 = 2 forces s_2 <= 1, found 2"
     assert sequence_violation(()) is None
+    assert sequence_violation((1, True)) == "entry 2 is not an integer"
+    assert sequence_violation((1, 2, 1, 2, 2)) == "s_5 = 2 forces s_4 <= 1, found 2"
+    # Bad values are reported before broken nesting, wherever they are.
+    assert sequence_violation((1, 2, 2, 0)) == "s_4 = 0 outside 1..4"
+
+    class Index(int):
+        pass
+
+    assert sequence_violation((Index(1), Index(2))) is None
 
 
 def test_catseq_rejects_invalid():
@@ -89,11 +103,57 @@ def test_validate_matches_bruteforce(entries):
 
 
 @pytest.mark.parametrize("n", range(8))
+def test_violation_equals_the_full_scan_on_every_small_tuple(n):
+    # Up to n = 5 every value 0..n+1 everywhere; at n = 6, 7 the values
+    # 0..i+1 at position i, so each entry is in range or just outside.
+    if n <= 5:
+        tuples = product(range(n + 2), repeat=n)
+    else:
+        tuples = product(*(range(i + 2) for i in range(1, n + 1)))
+    for t in tuples:
+        assert sequence_violation(t) == _scan_violation(t)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 14), st.booleans(), st.sampled_from([1.0, "1"])),
+        max_size=12,
+    )
+)
+@settings(max_examples=500)
+def test_violation_equals_the_full_scan_on_arbitrary_lists(entries):
+    assert sequence_violation(entries) == _scan_violation(entries)
+
+
+def test_violation_of_a_long_member_and_a_late_near_miss():
+    # A member of S_800 chosen right to left within the governing
+    # bounds, after s_800 = 800 and s_799 = 2.
+    rng = random.Random(5)
+    state = set_value(set_value(GoverningState.initial(800), 800), 2)
+    while not state.is_complete:
+        state = set_value(state, rng.randint(1, governing_bounds(state)[state.cursor - 1]))
+    member = state.values
+    assert sequence_violation(member) is None
+    assert _scan_violation(member) is None
+    # s_799 = 2 covers 798..799, so s_800 = 2 starts inside it: (ii)
+    # breaks at the last entry and nowhere before.
+    near_miss = member[:799] + (2,)
+    assert sequence_violation(near_miss[:799]) is None
+    expected = "s_800 = 2 forces s_799 <= 1, found 2"
+    assert sequence_violation(near_miss) == _scan_violation(near_miss) == expected
+
+
+@pytest.mark.parametrize("n", range(8))
 def test_generate_all_matches_filter(n):
     got = [s.entries for s in generate_all(n)]
     assert len(got) == len(set(got)) == catalan_reference(n)
     assert set(got) == set(sequences_by_filter(n))
     assert count_all(n) == len(got)
+
+
+def test_count_all_is_catalan_far_past_any_listing():
+    for n in [*range(201), 899]:
+        assert count_all(n) == catalan(n)
 
 
 def test_generate_all_small_cases():
