@@ -1,7 +1,9 @@
 """Enumeration kernels: the walks behind every listing, and the counts.
 
-The recursions are self-contained on purpose.  They never touch the
-bijection, so their output can referee it.
+The walks and counts are self-contained on purpose.  They never touch
+the bijection, so their output can referee it.  The walks are
+generators over an explicit stack with one frame per element or entry,
+so how deep they go is not bounded by the recursion limit.
 
 Partition walk: scan elements 1..m with a stack of open blocks.
 Element e either opens a new block or joins an open block strictly
@@ -23,13 +25,13 @@ increasing order, so each block is ascending and is opened by its
 least element; and blocks are listed in the order they were opened,
 which is the order of their least elements.
 
-Sequence walk: fill positions n..1 with values 1..bound, smaller
-values first.  Setting s_q = m puts the interval (q - m, q] over the
-positions q - m + 1..q (see ncpseq.sequences: in a member these
-intervals nest), and the bound at q is q minus the start of the
-innermost interval already set over q, or q when there is none.  That
-is the governing bound min(old, m - (q - p)) of the sequences module,
-kept as a stack of interval starts instead of a bound per position.
+Sequence walk: s is in S_n iff the intervals (i - s_i, i] nest
+(sequences.sequence_violation), which a left-to-right scan checks with
+a stack of end points: entry i closes onto one of them, pops those
+above it and pushes i.  The walk makes each such choice in turn.
+Closing onto end point p gives s_i = i - p, so trying the end points
+from the top down tries s_i in increasing order, and S_n comes out in
+lexicographic order.
 
 Counts are dynamic programs that never walk, and never recurse:
 
@@ -43,27 +45,24 @@ Counts are dynamic programs that never walk, and never recurse:
   every state the walk's bound prunes, which only removes runs that
   emit nothing.  Without a target the block count does not matter,
   and every run keeps c = 0.
-* Sequences.  s is in S_n iff the intervals (i - s_i, i] nest
-  (sequences.sequence_violation), which a left-to-right scan checks
-  with a stack of end points: entry i closes onto one of them, pops
-  those above it and pushes i.  From k end points above 0, entry i
-  can close onto any of the k + 1 boundaries, leaving 1..k + 1 end
-  points above 0, and distinct choices give distinct sequences; the
-  count of S_n is the number of such runs of length n from k = 0.
+* Sequences.  Over the sequence walk's end-point stack: from k end
+  points above 0, entry i can close onto any of the k + 1 boundaries,
+  leaving 1..k + 1 end points above 0, and distinct choices give
+  distinct sequences; the count of S_n is the number of such runs of
+  length n from k = 0.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Iterator
 
 PartitionBlocks = tuple[tuple[int, ...], ...]
 
 
 def ssp_partitions(m: int) -> list[PartitionBlocks]:
     """All semi-special partitions of [m], in construction order."""
-    out: list[PartitionBlocks] = []
-    _partition_walk(m, None, out)
-    return out
+    return list(_partition_walk(m, None))
 
 
 def count_ssp_partitions(m: int) -> int:
@@ -73,9 +72,7 @@ def count_ssp_partitions(m: int) -> int:
 
 def special_partitions(n: int) -> list[PartitionBlocks]:
     """All special partitions of [2n+1]: semi-special with n+1 blocks."""
-    out: list[PartitionBlocks] = []
-    _partition_walk(2 * n + 1, n + 1, out)
-    return out
+    return list(_partition_walk(2 * n + 1, n + 1))
 
 
 def count_special_partitions(n: int) -> int:
@@ -83,35 +80,58 @@ def count_special_partitions(n: int) -> int:
     return _count_partition_leaves(2 * n + 1, n + 1)
 
 
-def _partition_walk(m: int, target: int | None, out: list[PartitionBlocks]) -> None:
+def _can_finish(need: int, left: int, depth: int) -> bool:
+    """The walk's pruning bound: can `left` more elements, starting from
+    `depth` open blocks, open exactly `need` more blocks?
+
+    Each element left either opens a block or joins one strictly below
+    the top, popping at least one open block, and the stack never
+    empties: so at least ceil((left - depth + 1) / 2) of them must open
+    a block.  A False answer only ever cuts branches that emit nothing.
+    """
+    return 0 <= need <= left and 2 * need >= left - depth + 1
+
+
+def _partition_walk(m: int, target: int | None) -> Iterator[PartitionBlocks]:
     if m < 1:
         raise ValueError("ground size must be at least 1")
     members: list[list[int]] = []
-
-    def rec(e: int, stack: tuple[list[int], ...]) -> None:
-        if target is not None:
-            # Each of the r elements left either opens a block or joins
-            # one strictly below the top, popping at least one of the k
-            # open blocks, and the stack never empties: so at least
-            # ceil((r - k + 1) / 2) of them must open a block.
-            need = target - len(members)
-            r = m - e + 1
-            if not 0 <= need <= r or 2 * need < r - len(stack) + 1:
-                return
-        if e > m:
-            out.append(tuple(map(tuple, members)))
-            return
-        block = [e]
-        members.append(block)
-        rec(e + 1, stack + (block,))
-        members.pop()
-        for t in range(len(stack) - 2, -1, -1):
-            block = stack[t]
-            block.append(e)
-            rec(e + 1, stack[: t + 1])
-            block.pop()
-
-    rec(1, ())
+    # frames[e - 1]: the open blocks before element e, and the choice
+    # taken at e: -1 none yet, 0 opened a block, j >= 1 joined stack[-1 - j].
+    frames: list[list] = [[(), -1]]
+    while frames:
+        frame = frames[-1]
+        stack, j = frame
+        e = len(frames)
+        # Undo the choice taken at e, then take the next one the bound allows.
+        if j == 0:
+            members.pop()
+        elif j > 0:
+            stack[-1 - j].pop()
+        j += 1
+        if j == 0:
+            if target is None or _can_finish(target - len(members) - 1, m - e, len(stack) + 1):
+                block = [e]
+                members.append(block)
+                below = stack + (block,)
+            else:
+                j = 1
+        if j > 0:
+            # As j grows the join reaches further below the top and
+            # leaves fewer blocks open, so the bound only tightens: its
+            # first cut, or running out of blocks, ends the choices at e.
+            if j >= len(stack) or (
+                target is not None and not _can_finish(target - len(members), m - e, len(stack) - j)
+            ):
+                frames.pop()
+                continue
+            stack[-1 - j].append(e)
+            below = stack[:-j]
+        frame[1] = j
+        if e == m:
+            yield tuple(map(tuple, members))
+        else:
+            frames.append([below, -1])
 
 
 def _count_partition_leaves(m: int, target: int | None) -> int:
@@ -122,11 +142,8 @@ def _count_partition_leaves(m: int, target: int | None) -> int:
     def pruned(runs: dict[tuple[int, int], int], e: int) -> dict[tuple[int, int], int]:
         if target is None:
             return runs
-        r = m - e + 1  # the walk's bound, as in _partition_walk
         return {
-            (k, c): v
-            for (k, c), v in runs.items()
-            if 0 <= target - c <= r and 2 * (target - c) >= r - k + 1
+            (k, c): v for (k, c), v in runs.items() if _can_finish(target - c, m - e + 1, k)
         }
 
     runs = {(0, 0): 1}  # (depth k, created c) -> choice runs that reach element e
@@ -137,10 +154,10 @@ def _count_partition_leaves(m: int, target: int | None) -> int:
             nxt[k + 1, c + opens] = nxt.get((k + 1, c + opens), 0) + v
             rows.setdefault(c, {})[k] = v
         for c, row in rows.items():
-            # Join targets the bound cuts at e + 1 are not stored at all.
-            lo = 1 if target is None else max(1, m - e + 1 - 2 * (target - c))
             above = 0
-            for k in range(max(row) - 1, lo - 1, -1):
+            for k in range(max(row) - 1, 0, -1):
+                if target is not None and not _can_finish(target - c, m - e, k):
+                    break  # the bound cuts this join at e + 1, and every join to a smaller k
                 above += row.get(k + 1, 0)
                 nxt[k, c] = nxt.get((k, c), 0) + above
         runs = nxt
@@ -174,12 +191,10 @@ def ssp_min_blocks(m: int) -> int:
 
 
 def catalan_sequences(n: int) -> list[tuple[int, ...]]:
-    """All of S_n as tuples, depth-first, smaller choices first."""
+    """All of S_n as tuples, in lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out: list[tuple[int, ...]] = []
-    _sequence_walk(n, out)
-    return out
+    return list(_sequence_walk(n))
 
 
 def count_catalan_sequences(n: int) -> int:
@@ -197,22 +212,22 @@ def count_catalan_sequences(n: int) -> int:
     return sum(runs)
 
 
-def _sequence_walk(n: int, out: list[tuple[int, ...]]) -> None:
+def _sequence_walk(n: int) -> Iterator[tuple[int, ...]]:
     values = [0] * n
-
-    def rec(q: int, starts: tuple[int, ...]) -> None:
-        # starts: 0, then the starts of the set intervals covering q,
-        # innermost last.
-        if q == 0:
-            out.append(tuple(values))
-            return
-        bound = q - starts[-1]
-        while len(starts) > 1 and starts[-1] == q - 1:
-            starts = starts[:-1]  # intervals that start at q - 1 stop covering it
-        values[q - 1] = 1  # (q - 1, q] covers no earlier position
-        rec(q - 1, starts)
-        for m in range(2, bound + 1):
-            values[q - 1] = m
-            rec(q - 1, starts + (q - m,))
-
-    rec(n, (0,))
+    # frames[i]: the end points left by entries 1..i, and how many of
+    # them entry i + 1 has yet to close onto, counted from the bottom.
+    frames: list[list] = [[(0,), 1]]
+    while frames:
+        i = len(frames) - 1
+        ends, left = frames[-1]
+        if i == n:
+            yield tuple(values)
+            frames.pop()
+        elif left:
+            left -= 1
+            frames[-1][1] = left
+            kept = ends[: left + 1]
+            values[i] = i + 1 - kept[-1]
+            frames.append([kept + (i + 1,), left + 2])
+        else:
+            frames.pop()

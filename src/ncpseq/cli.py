@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when well-formed input fails a membership
 condition or a claim check fails, 2 on unparseable input or bad usage,
-3 when writing the output file fails.
+3 when writing the output fails: the output file cannot be written, or
+the reader of stdout closes it early (then nothing is printed on stderr).
 
 map and invert read one object from argv or, when omitted, convert
 every line of stdin, so enumerate can pipe straight through them.
@@ -10,9 +11,8 @@ Each stdin line is one input, and the stream stops at the first line
 that fails, with that line's exit code, after the results of the lines
 before it are printed.  A blank line is the n = 0 sequence for invert
 and a parse error (exit 2) for map.
-enumerate rejects, as a usage error, an n whose walk would recurse
-past the interpreter's recursion limit, and warns on stderr before
-listing above n = LISTING_N_CEILING.
+enumerate warns on stderr before listing above n = LISTING_N_CEILING
+and before counting above n = COUNT_N_CEILING.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
 as a sequence and inverted first.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -47,8 +48,9 @@ from ncpseq.sequences import (
 
 # enumerate lists every object at size n; above this n it warns first.
 LISTING_N_CEILING = 11
-# Frames left under the recursion limit for the callers of a walk.
-WALK_STACK_HEADROOM = 100
+# enumerate --count-only takes about n^3 bit operations (seconds at
+# n = 2000); above this n it warns first.
+COUNT_N_CEILING = 1000
 
 CLAIMS = (
     "cardinality",
@@ -153,31 +155,14 @@ def _inputs(cfg: CliConfig) -> list[str]:
     return sys.stdin.read().splitlines()
 
 
-def _walk_depth_error(cfg: CliConfig) -> str | None:
-    """Why the walk for cfg would overflow the recursion limit, or None.
-
-    The special walk recurses once per element of [2n+1] plus once at
-    the end, the sequence walk once per position plus once.
-    """
-    if cfg.kind == "special":
-        walk, per_n, extra = "partition", 2, 2
-    else:
-        walk, per_n, extra = "sequence", 1, 1
-    room = sys.getrecursionlimit() - WALK_STACK_HEADROOM
-    if per_n * cfg.n + extra <= room:
-        return None
-    largest = (room - extra) // per_n
-    return (
-        f"--n {cfg.n} is too large: the {walk} walk recurses "
-        f"{per_n * cfg.n + extra} levels deep and the recursion limit "
-        f"{sys.getrecursionlimit()} allows n <= {largest}"
-    )
-
-
 def cmd_enumerate(cfg: CliConfig) -> int:
-    too_deep = _walk_depth_error(cfg)
-    if too_deep is not None:
-        return _fail(2, f"usage error: {too_deep}")
+    if cfg.count_only and cfg.n > COUNT_N_CEILING:
+        print(
+            f"warning: n {cfg.n} is above the count ceiling "
+            f"{COUNT_N_CEILING}; counting takes about n^3 bit operations "
+            f"and may take a while",
+            file=sys.stderr,
+        )
     if not cfg.count_only and cfg.n > LISTING_N_CEILING:
         print(
             f"warning: n {cfg.n} is above the listing ceiling "
@@ -195,7 +180,7 @@ def cmd_enumerate(cfg: CliConfig) -> int:
     if cfg.count_only:
         print(count_all(cfg.n))
     else:
-        for seq in sorted(generate_all(cfg.n), key=lambda s: s.entries):
+        for seq in generate_all(cfg.n):
             print(format_sequence(seq))
     return 0
 
@@ -350,7 +335,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config(ns)
     except ValidationError as exc:
         return _fail(2, f"usage error: {exc}")
-    return _HANDLERS[cfg.subcommand](cfg)
+    try:
+        code = _HANDLERS[cfg.subcommand](cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the
+        # flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 3
+    return code
 
 
 if __name__ == "__main__":

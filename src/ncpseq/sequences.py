@@ -1,4 +1,4 @@
-"""Catalan sequences and the right-to-left construction generating them.
+"""Catalan sequences: membership, the listing, and a right-to-left builder.
 
 S_n holds the integer sequences s_1..s_n satisfying
 
@@ -9,10 +9,13 @@ and |S_n| is the n-th Catalan number.  Condition (ii) says that the
 intervals (i - s_i, i] nest: each one either holds an earlier one whole
 or misses it.  So in a member the maximal intervals among the first
 i - 1 tile (0, i - 1], and i - s_i must be one of their end points;
-membership is one left-to-right pass over a stack of those end points.
+membership is one left-to-right pass over a stack of those end points,
+and generate_all lists S_n in lexicographic order by walking the same
+stack (see ncpseq._kernels_py).
 
-Members are built by fixing positions n, n-1, .., 1 in that order.
-Alongside the values, the construction keeps a bounds sequence g: at a
+GoverningState builds members the other way, by fixing positions n,
+n-1, .., 1 in that order, and serves as an independent reference for
+the listing.  Alongside the values, it keeps a bounds sequence g: at a
 still-unset position q,
 
   g_q = min(q, min over set positions p > q of s_p - (p - q)),
@@ -216,7 +219,7 @@ def bounds_from_scratch(values: Sequence[int], cursor: int) -> tuple[int, ...]:
 
 
 def generate_all(n: int) -> Iterator[CatSeq]:
-    """Yield every member of S_n, depth-first with smaller choices first."""
+    """Yield every member of S_n, in lexicographic order of the entries."""
     if n < 0:
         raise ValidationError("n must be >= 0")
     for entries in kernels.catalan_sequences(n):

@@ -11,7 +11,7 @@ import ncpseq._kernels_py
 import ncpseq.bijection
 import ncpseq.cli
 import ncpseq.partitions
-from ncpseq import CatSeq
+from ncpseq import CatSeq, catalan, format_sequence, generate_all
 from ncpseq.cli import main
 
 PART_13 = "1,13|2,4,6,12|3|5|7,11|8,10|9"
@@ -47,41 +47,11 @@ def test_enumerate_count_only(cli):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("--n", "500", "--count-only"),
-        ("--n", "500"),
-        ("--n", "1000", "--kind", "sequences", "--count-only"),
-    ],
+    "argv, n",
+    [(("--n", "500"), 500), (("--n", "900", "--kind", "sequences"), 900)],
 )
-def test_enumerate_rejects_walks_deeper_than_the_recursion_limit(cli, argv):
-    code, out, err = cli("enumerate", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("usage error: --n ") and err.count("\n") == 1
-    assert f"recursion limit {sys.getrecursionlimit()}" in err
-
-
-@pytest.mark.parametrize(
-    "kind, largest, per_n, extra, count",
-    [("special", 5, 2, 2, "42\n"), ("sequences", 6, 1, 1, "132\n")],
-)
-def test_enumerate_depth_bound_follows_the_recursion_limit(
-    cli, kind, largest, per_n, extra, count
-):
-    """With the limit set so n = largest is the deepest walk allowed, it runs."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(ncpseq.cli.WALK_STACK_HEADROOM + per_n * largest + extra)
-    try:
-        ok = cli("enumerate", "--kind", kind, "--n", str(largest), "--count-only")
-        listed = cli("enumerate", "--kind", kind, "--n", str(largest))
-        too_deep = cli("enumerate", "--kind", kind, "--n", str(largest + 1))
-    finally:
-        sys.setrecursionlimit(saved)
-    assert ok == (0, count, "")
-    assert listed[0] == 0 and listed[1].count("\n") == int(count)
-    assert too_deep[:2] == (2, "")
-    assert too_deep[2].startswith("usage error:")
-    assert f"allows n <= {largest}\n" in too_deep[2]
+def test_enumerate_counts_far_past_any_listing(cli, argv, n):
+    assert cli("enumerate", *argv, "--count-only") == (0, f"{catalan(n)}\n", "")
 
 
 def test_enumerate_warns_above_the_listing_ceiling(cli, monkeypatch):
@@ -93,7 +63,18 @@ def test_enumerate_warns_above_the_listing_ceiling(cli, monkeypatch):
         assert (code, out) == (0, "")
         assert err.startswith("warning: n 12 is above the listing ceiling 11")
     monkeypatch.setattr(ncpseq.cli, "count_special", lambda n: 0)
+    monkeypatch.setattr(ncpseq.cli, "count_all", lambda n: 0)
     assert cli("enumerate", "--n", "12", "--count-only") == (0, "0\n", "")
+    for kind in ("special", "sequences"):
+        assert cli("enumerate", "--kind", kind, "--n", "1000", "--count-only") == (
+            0,
+            "0\n",
+            "",
+        )
+        code, out, err = cli("enumerate", "--kind", kind, "--n", "1001", "--count-only")
+        assert (code, out) == (0, "0\n")
+        assert err.startswith("warning: n 1001 is above the count ceiling 1000")
+        assert err.count("\n") == 1
 
 
 def test_enumerate_rejects_negative_n(cli):
@@ -227,6 +208,38 @@ def test_pipe_round_trip_through_the_shell():
     )
     assert got.stdout == want.stdout
     assert got.stdout.count("\n") == 429
+
+
+def _read_one_line_then_close(argv, stdin=None):
+    """Run the CLI, read its first stdout line, close the pipe, return the rest."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncpseq", *argv],
+        stdin=stdin,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, proc.wait(timeout=60), err
+
+
+# Each listing is several times the size of a pipe buffer, so the
+# writer is bound to meet the closed pipe.
+def test_closed_stdout_pipe_exits_3_quietly():
+    first, code, err = _read_one_line_then_close(["enumerate", "--n", "9"])
+    assert first.startswith(b"1,")
+    assert (code, err) == (3, b"")
+
+
+def test_closed_stdout_pipe_exits_3_quietly_on_stdin_input(tmp_path):
+    listing = tmp_path / "sequences.txt"
+    listing.write_text("".join(f"{format_sequence(s)}\n" for s in generate_all(10)))
+    with listing.open("rb") as stdin:
+        first, code, err = _read_one_line_then_close(["invert"], stdin=stdin)
+    assert first == b"1,3,5,7,9,11,13,15,17,19,21|2|4|6|8|10|12|14|16|18|20\n"
+    assert (code, err) == (3, b"")
 
 
 def test_verify_report(cli):

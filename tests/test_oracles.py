@@ -138,6 +138,18 @@ def test_counters_do_not_recurse():
     assert sequences == catalan(899)
 
 
+def test_listings_do_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        special = next(kernels._partition_walk(2001, 1001))
+        sequence = next(kernels._sequence_walk(1000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert is_special(Partition(2001, special))
+    assert sequence == (1,) * 1000
+
+
 def test_counters_consult_neither_catalan_nor_the_bijection(monkeypatch):
     def refuse(*args):
         raise AssertionError("a counter must count on its own")

@@ -146,8 +146,8 @@ def test_violation_of_a_long_member_and_a_late_near_miss():
 @pytest.mark.parametrize("n", range(8))
 def test_generate_all_matches_filter(n):
     got = [s.entries for s in generate_all(n)]
-    assert len(got) == len(set(got)) == catalan_reference(n)
-    assert set(got) == set(sequences_by_filter(n))
+    assert len(got) == catalan_reference(n)
+    assert got == sorted(sequences_by_filter(n))
     assert count_all(n) == len(got)
 
 
@@ -165,7 +165,7 @@ def test_generate_all_small_cases():
 
 
 def test_generate_all_order_matches_state_machine():
-    """The kernel walk must visit choices exactly as the state machinery does."""
+    """The kernel walk lists in lex order the members the state machinery builds."""
 
     def reference(n):
         out = []
@@ -181,7 +181,7 @@ def test_generate_all_order_matches_state_machine():
         return out
 
     for n in range(7):
-        assert [s.entries for s in generate_all(n)] == reference(n)
+        assert [s.entries for s in generate_all(n)] == sorted(reference(n))
 
 
 def test_initial_state_shape():
