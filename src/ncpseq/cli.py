@@ -2,15 +2,19 @@
 
 Exit codes: 0 on success, 1 when well-formed input fails a membership
 condition or a claim check fails, 2 on unparseable input or bad usage,
-3 when writing the output fails: the output file cannot be written, or
-the reader of stdout closes it early (then nothing is printed on stderr).
+3 when writing the output fails: the output file or stdout cannot be
+written (one "io error:" line on stderr), or the reader of stdout
+closes it early (then nothing is printed on stderr).
 
 map and invert read one object from argv or, when omitted, convert
 every line of stdin, so enumerate can pipe straight through them.
 Each stdin line is one input, and the stream stops at the first line
 that fails, with that line's exit code, after the results of the lines
-before it are printed.  A blank line is the n = 0 sequence for invert
-and a parse error (exit 2) for map.
+before it are printed (ahead of its message).  A blank line is the
+n = 0 sequence for invert and a parse error (exit 2) for map.
+Listings and stdin streams are written in chunks of lines, one write
+per chunk; enumerate writes the canonical texts the listings give with
+as_text, so no Partition or CatSeq is built per line.
 enumerate warns on stderr before listing above n = LISTING_N_CEILING
 and before counting above n = COUNT_N_CEILING.
 render takes a single input and decides what it is: text containing
@@ -25,6 +29,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from ncpseq import verify as verify_mod
 from ncpseq.bijection import forward, inverse, inverse_trace
@@ -51,6 +56,8 @@ LISTING_N_CEILING = 11
 # enumerate --count-only takes about n^3 bit operations (seconds at
 # n = 2000); above this n it warns first.
 COUNT_N_CEILING = 1000
+# Lines per stdout write: few system calls, and a bounded text per write.
+_CHUNK_LINES = 1024
 
 CLAIMS = (
     "cardinality",
@@ -144,9 +151,36 @@ def _config(ns: argparse.Namespace) -> CliConfig:
     return CliConfig(cmd, text=ns.input, fmt=ns.fmt, out=ns.out, trace=ns.trace)
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """Ends a subcommand with an exit code and one line on stderr."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line to stdout, _CHUNK_LINES lines per write.
+
+    When the lines end in a _Failure, the lines before it are written
+    first, so that they come before its message.
+    """
+    chunk: list[str] = []
+
+    def flush() -> None:
+        if chunk:
+            sys.stdout.write("\n".join(chunk) + "\n")
+            chunk.clear()
+
+    try:
+        for line in lines:
+            chunk.append(line)
+            if len(chunk) == _CHUNK_LINES:
+                flush()
+    except _Failure:
+        flush()
+        raise
+    flush()
 
 
 def _inputs(cfg: CliConfig) -> list[str]:
@@ -174,66 +208,66 @@ def cmd_enumerate(cfg: CliConfig) -> int:
         if cfg.count_only:
             print(count_special(cfg.n))
         else:
-            for part in enumerate_special(cfg.n):
-                print(format_partition(part))
+            _write_lines(enumerate_special(cfg.n, as_text=True))
         return 0
     if cfg.count_only:
         print(count_all(cfg.n))
     else:
-        for seq in generate_all(cfg.n):
-            print(format_sequence(seq))
+        _write_lines(generate_all(cfg.n, as_text=True))
     return 0
 
 
-def _parse_partition_arg(text: str) -> Partition | int:
+def _parse_partition_arg(text: str) -> Partition:
     try:
         return parse_partition(text)
     except ParseError as exc:
-        return _fail(2, f"parse error: {exc}")
+        raise _Failure(2, f"parse error: {exc}")
     except ValidationError as exc:
-        return _fail(2, f"invalid partition: {exc}")
+        raise _Failure(2, f"invalid partition: {exc}")
 
 
 def cmd_map(cfg: CliConfig) -> int:
-    for text in _inputs(cfg):
-        part = _parse_partition_arg(text)
-        if isinstance(part, int):
-            return part
-        reason = special_violation(part)
-        if reason is not None:
-            return _fail(1, f"not special: {reason}")
-        print(format_sequence(forward(part)))
+    _write_lines(map(_image, _inputs(cfg)))
     return 0
 
 
-def _parse_sequence_arg(text: str) -> CatSeq | int:
+def _image(text: str) -> str:
+    part = _parse_partition_arg(text)
+    reason = special_violation(part)
+    if reason is not None:
+        raise _Failure(1, f"not special: {reason}")
+    return format_sequence(forward(part))
+
+
+def _parse_sequence_arg(text: str) -> CatSeq:
     try:
         return parse_sequence(text)
     except ParseError as exc:
-        return _fail(2, f"parse error: {exc}")
+        raise _Failure(2, f"parse error: {exc}")
     except ValidationError as exc:
-        return _fail(1, f"invalid sequence: {exc}")
+        raise _Failure(1, f"invalid sequence: {exc}")
 
 
 def cmd_invert(cfg: CliConfig) -> int:
     if cfg.as_json and not cfg.trace:
-        return _fail(2, "--json needs --trace")
+        raise _Failure(2, "--json needs --trace")
+    _write_lines(_preimages(cfg))
+    return 0
+
+
+def _preimages(cfg: CliConfig) -> Iterator[str]:
     for text in _inputs(cfg):
         seq = _parse_sequence_arg(text)
-        if isinstance(seq, int):
-            return seq
-        if cfg.trace:
-            trace = inverse_trace(seq)
-            if cfg.as_json:
-                print(trace.to_json())
-            else:
-                body = trace.to_text()
-                if body:
-                    print(body)
-                print(format_partition(trace.final_partition()))
+        if not cfg.trace:
+            yield format_partition(inverse(seq))
+        elif cfg.as_json:
+            yield inverse_trace(seq).to_json()
         else:
-            print(format_partition(inverse(seq)))
-    return 0
+            trace = inverse_trace(seq)
+            body = trace.to_text()
+            if body:
+                yield body
+            yield format_partition(trace.final_partition())
 
 
 def cmd_verify(cfg: CliConfig) -> int:
@@ -283,22 +317,18 @@ def cmd_render(cfg: CliConfig) -> int:
     )
     if looks_like_partition:
         if cfg.trace:
-            return _fail(2, "--trace needs a sequence input")
+            raise _Failure(2, "--trace needs a sequence input")
         part = _parse_partition_arg(text)
-        if isinstance(part, int):
-            return part
         try:
             diagram = to_arcs(part)
         except ValidationError as exc:
-            return _fail(1, f"invalid partition: {exc}")
+            raise _Failure(1, f"invalid partition: {exc}")
         content = _render_diagram(cfg, diagram)
     else:
         seq = _parse_sequence_arg(text)
-        if isinstance(seq, int):
-            return seq
         if cfg.trace:
             if cfg.fmt != "svg":
-                return _fail(2, "--trace renders svg only")
+                raise _Failure(2, "--trace renders svg only")
             content = render_trace(inverse_trace(seq))
         else:
             content = _render_diagram(cfg, to_arcs(inverse(seq)))
@@ -309,7 +339,7 @@ def cmd_render(cfg: CliConfig) -> int:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
     except OSError as exc:
-        return _fail(3, f"io error: {exc}")
+        raise _Failure(3, f"io error: {exc}")
     return 0
 
 
@@ -334,17 +364,35 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config(ns)
     except ValidationError as exc:
-        return _fail(2, f"usage error: {exc}")
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
-        code = _HANDLERS[cfg.subcommand](cfg)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        try:
+            code = _HANDLERS[cfg.subcommand](cfg)
+        finally:
+            # The results come before a failure's message, and a failed
+            # write shows here, not at exit.
+            sys.stdout.flush()
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except BrokenPipeError:
-        # The reader has gone.  Point stdout at devnull so that the
-        # flush at interpreter exit does not fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # The reader has gone; there is no one to tell.
+        _drop_stdout()
+        return 3
+    except OSError as exc:
+        _drop_stdout()
+        print(f"io error: {exc}", file=sys.stderr)
         return 3
     return code
+
+
+def _drop_stdout() -> None:
+    # Point stdout at devnull so that the flush at interpreter exit
+    # does not fail again on the output still buffered.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from ncpseq._backend import kernels
 from ncpseq.errors import ValidationError
 from ncpseq.partitions import (
     Partition,
+    _format_blocks,
     _gap_blocks,
     _pieces,
     format_partition,
@@ -33,16 +34,24 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def enumerate_special(n: int) -> Iterator[Partition]:
+def enumerate_special(n: int, *, as_text: bool = False) -> Iterator[Partition] | Iterator[str]:
     """Every special partition of [2n+1], by canonical text order.
 
     The kernel builds each one as a canonical partition of [2n+1] (see
     ncpseq._kernels_py), so its blocks are wrapped without a second
-    check; the special conditions are left to special_violation.
+    check; the special conditions are left to special_violation.  With
+    as_text, the canonical texts come instead: each partition's blocks
+    are formatted once, and the texts are sorted, with no Partition
+    built.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
     m = 2 * n + 1
+    if as_text:
+        text_of = [str(x) for x in range(m + 1)].__getitem__
+        texts = [_format_blocks(blocks, text_of) for blocks in kernels.special_partitions(n)]
+        texts.sort()
+        return iter(texts)
     parts = [Partition._trusted(m, blocks) for blocks in kernels.special_partitions(n)]
     parts.sort(key=format_partition)
     return iter(parts)

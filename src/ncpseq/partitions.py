@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ncpseq.errors import ParseError, ValidationError
 
@@ -153,7 +153,14 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(p: Partition) -> str:
     """Canonical text: blocks joined by "|", elements by ",", no spaces."""
-    return BLOCK_SEP.join([ELEMENT_SEP.join(map(str, b)) for b in p.blocks])
+    return _format_blocks(p.blocks)
+
+
+def _format_blocks(blocks: tuple[Block, ...], text_of: Callable[[int], str] = str) -> str:
+    # The one definition of canonical text.  A listing calls it on
+    # kernel blocks, with no Partition around them, and passes a lookup
+    # in a table of str(x) for text_of, which is faster than str.
+    return BLOCK_SEP.join([ELEMENT_SEP.join(map(text_of, b)) for b in blocks])
 
 
 def is_noncrossing(p: Partition) -> bool:

@@ -31,7 +31,7 @@ unique n = 0 sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ncpseq._backend import kernels
 from ncpseq.errors import ParseError, ValidationError
@@ -121,7 +121,12 @@ def parse_sequence(text: str) -> CatSeq:
 
 def format_sequence(s: CatSeq) -> str:
     """Canonical text: entries joined by single spaces."""
-    return " ".join(map(str, s.entries))
+    return _format_entries(s.entries)
+
+
+def _format_entries(entries: Sequence[int], text_of: Callable[[int], str] = str) -> str:
+    # As partitions._format_blocks: a listing passes a table lookup.
+    return " ".join(map(text_of, entries))
 
 
 @dataclass(frozen=True)
@@ -218,12 +223,24 @@ def bounds_from_scratch(values: Sequence[int], cursor: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def generate_all(n: int) -> Iterator[CatSeq]:
-    """Yield every member of S_n, in lexicographic order of the entries."""
+def generate_all(n: int, *, as_text: bool = False) -> Iterator[CatSeq] | Iterator[str]:
+    """Yield every member of S_n, in lexicographic order of the entries.
+
+    With as_text, yield the canonical text of each member instead.  Each
+    one is checked as CatSeq checks it, but no CatSeq is built.
+    """
     if n < 0:
         raise ValidationError("n must be >= 0")
+    if not as_text:
+        for entries in kernels.catalan_sequences(n):
+            yield CatSeq(entries)
+        return
+    text_of = [str(v) for v in range(n + 1)].__getitem__
     for entries in kernels.catalan_sequences(n):
-        yield CatSeq(entries)
+        reason = sequence_violation(entries)
+        if reason is not None:
+            raise ValidationError(reason)
+        yield _format_entries(entries, text_of)
 
 
 def count_all(n: int) -> int:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -11,7 +12,16 @@ import ncpseq._kernels_py
 import ncpseq.bijection
 import ncpseq.cli
 import ncpseq.partitions
-from ncpseq import CatSeq, catalan, format_sequence, generate_all
+from ncpseq import (
+    CatSeq,
+    Partition,
+    ValidationError,
+    catalan,
+    enumerate_special,
+    format_partition,
+    format_sequence,
+    generate_all,
+)
 from ncpseq.cli import main
 
 PART_13 = "1,13|2,4,6,12|3|5|7,11|8,10|9"
@@ -55,8 +65,8 @@ def test_enumerate_counts_far_past_any_listing(cli, argv, n):
 
 
 def test_enumerate_warns_above_the_listing_ceiling(cli, monkeypatch):
-    monkeypatch.setattr(ncpseq.cli, "enumerate_special", lambda n: iter(()))
-    monkeypatch.setattr(ncpseq.cli, "generate_all", lambda n: iter(()))
+    monkeypatch.setattr(ncpseq._kernels_py, "special_partitions", lambda n: [])
+    monkeypatch.setattr(ncpseq._kernels_py, "catalan_sequences", lambda n: [])
     for kind in ("special", "sequences"):
         assert cli("enumerate", "--kind", kind, "--n", "11") == (0, "", "")
         code, out, err = cli("enumerate", "--kind", kind, "--n", "12")
@@ -75,6 +85,58 @@ def test_enumerate_warns_above_the_listing_ceiling(cli, monkeypatch):
         assert (code, out) == (0, "0\n")
         assert err.startswith("warning: n 1001 is above the count ceiling 1000")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_enumerate_lists_the_library_objects_as_text(cli, n):
+    special = "".join(f"{format_partition(p)}\n" for p in enumerate_special(n))
+    assert cli("enumerate", "--n", str(n)) == (0, special, "")
+    sequences = "".join(f"{format_sequence(s)}\n" for s in generate_all(n))
+    assert cli("enumerate", "--n", str(n), "--kind", "sequences") == (0, sequences, "")
+
+
+def test_enumerate_builds_no_objects(cli, monkeypatch):
+    kinds = ("special", "sequences")
+    want = {kind: cli("enumerate", "--n", "8", "--kind", kind) for kind in kinds}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the listing built an object")
+
+    monkeypatch.setattr(Partition, "_trusted", refuse)
+    monkeypatch.setattr(CatSeq, "__init__", refuse)
+    for kind, result in want.items():
+        assert cli("enumerate", "--n", "8", "--kind", kind) == result
+
+
+def test_enumerate_writes_in_chunks(monkeypatch):
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            Counting.writes += 1
+            return super().write(text)
+
+    out = Counting()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--n", "9", "--kind", "sequences"]) == 0
+    assert out.getvalue().count("\n") == 4862
+    assert Counting.writes == -(-4862 // ncpseq.cli._CHUNK_LINES)
+
+
+def test_enumerate_never_prints_a_planted_non_member(capsys, monkeypatch):
+    walk = ncpseq._kernels_py.catalan_sequences
+    listing = walk(9)
+    planted = (1, 2, 2, 1, 1, 1, 1, 1, 1)  # s_3 = 2 forces s_2 <= 1
+    assert planted not in listing
+    monkeypatch.setattr(
+        ncpseq._kernels_py, "catalan_sequences", lambda n: listing[:3000] + [planted]
+    )
+    with pytest.raises(ValidationError, match="s_3 = 2 forces s_2 <= 1"):
+        main(["enumerate", "--n", "9", "--kind", "sequences"])
+    out = capsys.readouterr().out
+    printed = [tuple(map(int, line.split())) for line in out.splitlines()]
+    assert planted not in printed
+    assert printed == listing[: len(printed)]
 
 
 def test_enumerate_rejects_negative_n(cli):
@@ -240,6 +302,38 @@ def test_closed_stdout_pipe_exits_3_quietly_on_stdin_input(tmp_path):
         first, code, err = _read_one_line_then_close(["invert"], stdin=stdin)
     assert first == b"1,3,5,7,9,11,13,15,17,19,21|2|4|6|8|10|12|14|16|18|20\n"
     assert (code, err) == (3, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "--n", "3"), ("enumerate", "--n", "9"), ("invert", "1 2")]
+)
+def test_failed_stdout_write_exits_3_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "ncpseq", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert res.returncode == 3
+    assert res.stderr.startswith("io error: [Errno 28]")
+    assert res.stderr.count("\n") == 1
+
+
+def test_stdin_stream_prints_its_results_before_the_failure():
+    listing = subprocess.run(
+        [sys.executable, "-m", "ncpseq", "enumerate", "--n", "8"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    res = subprocess.run(
+        [sys.executable, "-m", "ncpseq", "map"],
+        input=listing + "1,3|2,4|5\n1\n",
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    lines = res.stdout.splitlines()
+    assert res.returncode == 1
+    assert len(lines) == catalan(8) + 1
+    assert lines[-1].startswith("not special:")
 
 
 def test_verify_report(cli):
