@@ -52,7 +52,7 @@ from ncpseq.partitions import (
     subpartition,
     to_arcs,
 )
-from ncpseq.render import RenderSpec, render_ascii, render_svg, render_trace
+from ncpseq.render import render_ascii, render_svg, render_trace
 from ncpseq.sequences import (
     CatSeq,
     GoverningState,
@@ -85,7 +85,6 @@ __all__ = [
     "ParseError",
     "Partition",
     "PieceList",
-    "RenderSpec",
     "StretchError",
     "TraceStep",
     "ValidationError",

@@ -8,9 +8,10 @@ closes it early (then nothing is printed on stderr).
 
 map and invert read one object from argv or, when omitted, convert
 every line of stdin, so enumerate can pipe straight through them.
-Each stdin line is one input, and the stream stops at the first line
-that fails, with that line's exit code, after the results of the lines
-before it are printed (ahead of its message).  A blank line is the
+Each stdin line is one input, consumed as it arrives, and the stream
+stops at the first line that fails, with that line's exit code, after
+the results of the lines before it are printed (ahead of its message);
+the rest of stdin is left unread.  A blank line is the
 n = 0 sequence for invert and a parse error (exit 2) for map.
 Listings and stdin streams are written in chunks of lines, one write
 per chunk; enumerate writes the canonical texts the listings give with
@@ -28,7 +29,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ncpseq import verify as verify_mod
@@ -59,43 +59,15 @@ COUNT_N_CEILING = 1000
 # Lines per stdout write: few system calls, and a bounded text per write.
 _CHUNK_LINES = 1024
 
-CLAIMS = (
-    "cardinality",
-    "round-trip",
-    "special-structure",
-    "floor-sum",
-    "min-blocks",
-    "max-ground",
-)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation; n doubles as n_max for verify and check."""
-
-    subcommand: str
-    n: int = 0
-    text: str | None = None
-    kind: str = "special"
-    count_only: bool = False
-    trace: bool = False
-    as_json: bool = False
-    fmt: str = "ascii"
-    out: str | None = None
-    claim: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValidationError("n must be >= 0")
-
 
 def _ascii_int(text: str) -> int:
-    """argparse type: int() restricted to ASCII text, as in the parsers."""
-    if text.isascii():
-        try:
-            return int(text)
-        except ValueError:
-            pass
+    """argparse type: ASCII digits after an optional "-", as in the parsers.
+
+    A negative value passes here so that main reports it as a usage error.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
@@ -113,42 +85,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true", help="print the count instead")
 
     p = sub.add_parser("map", help="partition -> sequence")
-    p.add_argument("partition", nargs="?", help="canonical text; stdin lines if omitted")
+    p.add_argument(
+        "text", nargs="?", metavar="partition", help="canonical text; stdin lines if omitted"
+    )
 
     p = sub.add_parser("invert", help="sequence -> partition")
-    p.add_argument("sequence", nargs="?", help="space-separated; stdin lines if omitted")
+    p.add_argument(
+        "text", nargs="?", metavar="sequence", help="space-separated; stdin lines if omitted"
+    )
     p.add_argument("--trace", action="store_true", help="print each construction step")
     p.add_argument("--json", action="store_true", help="trace as a JSON array")
 
+    # --n-max lands in ns.n, as --n does, so that main checks them as one.
+    n_max = dict(dest="n", metavar="N_MAX", type=_ascii_int, default=verify_mod.DEFAULT_N_CEILING)
     p = sub.add_parser("verify", help="run all claim suites, print a JSON report")
-    p.add_argument("--n-max", type=_ascii_int, default=verify_mod.DEFAULT_N_CEILING)
+    p.add_argument("--n-max", **n_max)
 
     p = sub.add_parser("check", help="run a single claim suite")
-    p.add_argument("claim", choices=CLAIMS)
-    p.add_argument("--n-max", type=_ascii_int, default=verify_mod.DEFAULT_N_CEILING)
+    p.add_argument("claim", choices=verify_mod.CLAIM_SUITES)
+    p.add_argument("--n-max", **n_max)
     p.add_argument("--json", action="store_true", help="full report as JSON")
 
     p = sub.add_parser("render", help="draw a partition or sequence as arcs")
-    p.add_argument("input", nargs="?", help="partition or sequence; stdin if omitted")
+    p.add_argument(
+        "text", nargs="?", metavar="input", help="partition or sequence; stdin if omitted"
+    )
     p.add_argument("--format", dest="fmt", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--out", help="write here instead of stdout")
     p.add_argument("--trace", action="store_true", help="render every stage (svg only)")
     return parser
-
-
-def _config(ns: argparse.Namespace) -> CliConfig:
-    cmd = ns.subcommand
-    if cmd == "enumerate":
-        return CliConfig(cmd, n=ns.n, kind=ns.kind, count_only=ns.count_only)
-    if cmd == "map":
-        return CliConfig(cmd, text=ns.partition)
-    if cmd == "invert":
-        return CliConfig(cmd, text=ns.sequence, trace=ns.trace, as_json=ns.json)
-    if cmd == "verify":
-        return CliConfig(cmd, n=ns.n_max)
-    if cmd == "check":
-        return CliConfig(cmd, n=ns.n_max, claim=ns.claim, as_json=ns.json)
-    return CliConfig(cmd, text=ns.input, fmt=ns.fmt, out=ns.out, trace=ns.trace)
 
 
 class _Failure(Exception):
@@ -183,37 +148,42 @@ def _write_lines(lines: Iterable[str]) -> None:
     flush()
 
 
-def _inputs(cfg: CliConfig) -> list[str]:
-    if cfg.text is not None:
-        return [cfg.text]
-    return sys.stdin.read().splitlines()
+def _inputs(text: str | None) -> Iterator[str]:
+    """The one argv input, or else each line of stdin as it arrives."""
+    if text is not None:
+        yield text
+        return
+    # Physical lines bound the memory; splitlines then splits them as
+    # reading all of stdin and splitting it would.
+    for physical in sys.stdin:
+        yield from physical.splitlines()
 
 
-def cmd_enumerate(cfg: CliConfig) -> int:
-    if cfg.count_only and cfg.n > COUNT_N_CEILING:
+def cmd_enumerate(ns: argparse.Namespace) -> int:
+    if ns.count_only and ns.n > COUNT_N_CEILING:
         print(
-            f"warning: n {cfg.n} is above the count ceiling "
+            f"warning: n {ns.n} is above the count ceiling "
             f"{COUNT_N_CEILING}; counting takes about n^3 bit operations "
             f"and may take a while",
             file=sys.stderr,
         )
-    if not cfg.count_only and cfg.n > LISTING_N_CEILING:
+    if not ns.count_only and ns.n > LISTING_N_CEILING:
         print(
-            f"warning: n {cfg.n} is above the listing ceiling "
-            f"{LISTING_N_CEILING}; this lists catalan({cfg.n}) objects "
+            f"warning: n {ns.n} is above the listing ceiling "
+            f"{LISTING_N_CEILING}; this lists catalan({ns.n}) objects "
             f"and may take a while",
             file=sys.stderr,
         )
-    if cfg.kind == "special":
-        if cfg.count_only:
-            print(count_special(cfg.n))
+    if ns.kind == "special":
+        if ns.count_only:
+            print(count_special(ns.n))
         else:
-            _write_lines(enumerate_special(cfg.n, as_text=True))
+            _write_lines(enumerate_special(ns.n, as_text=True))
         return 0
-    if cfg.count_only:
-        print(count_all(cfg.n))
+    if ns.count_only:
+        print(count_all(ns.n))
     else:
-        _write_lines(generate_all(cfg.n, as_text=True))
+        _write_lines(generate_all(ns.n, as_text=True))
     return 0
 
 
@@ -226,8 +196,8 @@ def _parse_partition_arg(text: str) -> Partition:
         raise _Failure(2, f"invalid partition: {exc}")
 
 
-def cmd_map(cfg: CliConfig) -> int:
-    _write_lines(map(_image, _inputs(cfg)))
+def cmd_map(ns: argparse.Namespace) -> int:
+    _write_lines(map(_image, _inputs(ns.text)))
     return 0
 
 
@@ -248,19 +218,19 @@ def _parse_sequence_arg(text: str) -> CatSeq:
         raise _Failure(1, f"invalid sequence: {exc}")
 
 
-def cmd_invert(cfg: CliConfig) -> int:
-    if cfg.as_json and not cfg.trace:
+def cmd_invert(ns: argparse.Namespace) -> int:
+    if ns.json and not ns.trace:
         raise _Failure(2, "--json needs --trace")
-    _write_lines(_preimages(cfg))
+    _write_lines(_preimages(ns))
     return 0
 
 
-def _preimages(cfg: CliConfig) -> Iterator[str]:
-    for text in _inputs(cfg):
+def _preimages(ns: argparse.Namespace) -> Iterator[str]:
+    for text in _inputs(ns.text):
         seq = _parse_sequence_arg(text)
-        if not cfg.trace:
+        if not ns.trace:
             yield format_partition(inverse(seq))
-        elif cfg.as_json:
+        elif ns.json:
             yield inverse_trace(seq).to_json()
         else:
             trace = inverse_trace(seq)
@@ -270,32 +240,21 @@ def _preimages(cfg: CliConfig) -> Iterator[str]:
             yield format_partition(trace.final_partition())
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    if cfg.n > verify_mod.DEFAULT_N_CEILING:
+def cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.n > verify_mod.DEFAULT_N_CEILING:
         print(
-            f"warning: n_max {cfg.n} is above the default ceiling "
+            f"warning: n_max {ns.n} is above the default ceiling "
             f"{verify_mod.DEFAULT_N_CEILING}; this may take a while",
             file=sys.stderr,
         )
-    report = verify_mod.run_verify(cfg.n)
+    report = verify_mod.run_verify(ns.n)
     print(json.dumps(report, indent=2))
     return 0 if report["status"] == "pass" else 1
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    if cfg.claim == "cardinality":
-        report = verify_mod.cardinality_suite(cfg.n)
-    elif cfg.claim == "round-trip":
-        report = verify_mod.round_trip_suite(cfg.n)
-    elif cfg.claim == "special-structure":
-        report = verify_mod.special_structure_suite(cfg.n)
-    elif cfg.claim == "floor-sum":
-        report = verify_mod.floor_sum_suite()
-    elif cfg.claim == "min-blocks":
-        report = verify_mod.min_blocks_suite(cfg.n)
-    else:
-        report = verify_mod.max_ground_suite(cfg.n)
-    if cfg.as_json:
+def cmd_check(ns: argparse.Namespace) -> int:
+    report = verify_mod.CLAIM_SUITES[ns.claim](ns.n)
+    if ns.json:
         print(json.dumps(report.to_dict(), indent=2))
     elif report.passed:
         print(
@@ -310,41 +269,41 @@ def cmd_check(cfg: CliConfig) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_render(cfg: CliConfig) -> int:
-    text = cfg.text if cfg.text is not None else sys.stdin.read().strip()
+def cmd_render(ns: argparse.Namespace) -> int:
+    text = ns.text if ns.text is not None else sys.stdin.read().strip()
     looks_like_partition = (
         "|" in text or "," in text or len(text.split()) <= 1
     )
     if looks_like_partition:
-        if cfg.trace:
+        if ns.trace:
             raise _Failure(2, "--trace needs a sequence input")
         part = _parse_partition_arg(text)
         try:
             diagram = to_arcs(part)
         except ValidationError as exc:
             raise _Failure(1, f"invalid partition: {exc}")
-        content = _render_diagram(cfg, diagram)
+        content = _render_diagram(ns.fmt, diagram)
     else:
         seq = _parse_sequence_arg(text)
-        if cfg.trace:
-            if cfg.fmt != "svg":
+        if ns.trace:
+            if ns.fmt != "svg":
                 raise _Failure(2, "--trace renders svg only")
             content = render_trace(inverse_trace(seq))
         else:
-            content = _render_diagram(cfg, to_arcs(inverse(seq)))
-    if cfg.out is None:
+            content = _render_diagram(ns.fmt, to_arcs(inverse(seq)))
+    if ns.out is None:
         sys.stdout.write(content)
         return 0
     try:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
     except OSError as exc:
         raise _Failure(3, f"io error: {exc}")
     return 0
 
 
-def _render_diagram(cfg: CliConfig, diagram) -> str:
-    if cfg.fmt == "svg":
+def _render_diagram(fmt: str, diagram) -> str:
+    if fmt == "svg":
         return render_svg(diagram)
     return render_ascii(diagram) + "\n"
 
@@ -361,14 +320,12 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    try:
-        cfg = _config(ns)
-    except ValidationError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    if getattr(ns, "n", 0) < 0:
+        print("usage error: n must be >= 0", file=sys.stderr)
         return 2
     try:
         try:
-            code = _HANDLERS[cfg.subcommand](cfg)
+            code = _HANDLERS[ns.subcommand](ns)
         finally:
             # The results come before a failure's message, and a failed
             # write shows here, not at exit.

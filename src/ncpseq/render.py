@@ -12,26 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ncpseq.bijection import ConstructionTrace
-from ncpseq.errors import ValidationError
 from ncpseq.partitions import Arc, ArcDiagram, arc_nesting_depths
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Geometry knobs for the SVG renderer."""
-
-    spacing: float = 40.0
-    margin: float = 30.0
-    show_labels: bool = True
-    arc_style: str = "semicircle"
-
-    def __post_init__(self) -> None:
-        if self.spacing <= 0:
-            raise ValidationError("spacing must be positive")
-        if self.margin < 0:
-            raise ValidationError("margin must be >= 0")
-        if self.arc_style != "semicircle":
-            raise ValidationError(f"unknown arc style {self.arc_style!r}")
+# SVG geometry, in user units: the distance between neighbouring points
+# and the blank border around the drawing.
+SPACING = 40.0
+MARGIN = 30.0
 
 
 def _label_columns(m: int) -> list[int]:
@@ -90,11 +77,10 @@ def _fmt(x: float) -> str:
 class _Svg:
     """Accumulates elements and tracks the drawing's extent."""
 
-    spec: RenderSpec
     elements: list[str] = field(default_factory=list)
 
     def x(self, p: int) -> float:
-        return self.spec.margin + (p - 1) * self.spec.spacing
+        return MARGIN + (p - 1) * SPACING
 
     def text(self, x: float, y: float, s: str, anchor: str | None = None) -> None:
         where = f' text-anchor="{anchor}"' if anchor else ""
@@ -105,8 +91,7 @@ class _Svg:
 
     def diagram(self, d: ArcDiagram, top: float) -> float:
         """Draw one diagram with its arc apexes at ``top``; returns its bottom y."""
-        spec = self.spec
-        max_r = max((r - l for l, r in d.arcs), default=0) * spec.spacing / 2
+        max_r = max((r - l for l, r in d.arcs), default=0) * SPACING / 2
         base_y = top + max_r
         x_last = self.x(d.point_count)
         self.elements.append(
@@ -114,7 +99,7 @@ class _Svg:
             f'x2="{_fmt(x_last)}" y2="{_fmt(base_y)}" stroke="black" stroke-width="1"/>'
         )
         for left, right in d.arcs:
-            r = (right - left) * spec.spacing / 2
+            r = (right - left) * SPACING / 2
             self.elements.append(
                 f'<path d="M {_fmt(self.x(left))} {_fmt(base_y)} '
                 f'A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(self.x(right))} {_fmt(base_y)}" '
@@ -124,11 +109,9 @@ class _Svg:
             self.elements.append(
                 f'<circle cx="{_fmt(self.x(p))}" cy="{_fmt(base_y)}" r="3" fill="black"/>'
             )
-        bottom = base_y
-        if spec.show_labels:
-            bottom += 16
-            for p in range(1, d.point_count + 1):
-                self.text(self.x(p), bottom, str(p), anchor="middle")
+        bottom = base_y + 16
+        for p in range(1, d.point_count + 1):
+            self.text(self.x(p), bottom, str(p), anchor="middle")
         return bottom
 
     def document(self, width: float, height: float) -> str:
@@ -141,27 +124,25 @@ class _Svg:
         return "\n".join([head, *self.elements, "</svg>"]) + "\n"
 
 
-def render_svg(d: ArcDiagram, spec: RenderSpec | None = None) -> str:
+def render_svg(d: ArcDiagram) -> str:
     """Standalone SVG for one diagram."""
-    spec = spec or RenderSpec()
-    svg = _Svg(spec)
-    bottom = svg.diagram(d, spec.margin)
-    width = 2 * spec.margin + (d.point_count - 1) * spec.spacing
-    return svg.document(width, bottom + spec.margin)
+    svg = _Svg()
+    bottom = svg.diagram(d, MARGIN)
+    width = 2 * MARGIN + (d.point_count - 1) * SPACING
+    return svg.document(width, bottom + MARGIN)
 
 
-def render_trace(t: ConstructionTrace, spec: RenderSpec | None = None) -> str:
+def render_trace(t: ConstructionTrace) -> str:
     """One SVG stacking each distinct stage of a construction trace."""
-    spec = spec or RenderSpec()
     panels: list[tuple[str, ArcDiagram]] = [("start", t.start)]
     for step in t.steps:
         if step.diagram != panels[-1][1]:
             panels.append((f"step {step.index}", step.diagram))
-    svg = _Svg(spec)
-    y = spec.margin
+    svg = _Svg()
+    y = MARGIN
     for caption, d in panels:
-        svg.text(spec.margin, y + 12, caption)
-        y = svg.diagram(d, y + 20) + spec.margin
+        svg.text(MARGIN, y + 12, caption)
+        y = svg.diagram(d, y + 20) + MARGIN
     points = max(d.point_count for _, d in panels)
-    width = 2 * spec.margin + (points - 1) * spec.spacing
+    width = 2 * MARGIN + (points - 1) * SPACING
     return svg.document(width, y)

@@ -2,7 +2,8 @@
 
 Each suite sweeps one claim across a size range and returns a
 CheckReport; run_verify bundles the five standard suites into a single
-JSON-ready dictionary.
+JSON-ready dictionary, and CLAIM_SUITES maps each claim name to its
+suite, for running one claim alone.
 
 The cardinality, round-trip and special-structure suites sweep the same
 objects: every special partition of [2n+1] and every member of S_n for
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ncpseq import bijection
 from ncpseq.errors import ValidationError
@@ -29,6 +30,7 @@ from ncpseq.oracles import (
     CheckReport,
     catalan,
     check_floor_sum,
+    check_max_ground,
     check_special_structure,
     compositions,
     enumerate_special,
@@ -208,8 +210,6 @@ def min_blocks_suite(n_max: int) -> CheckReport:
 
 def max_ground_suite(n_max: int) -> CheckReport:
     """check_max_ground holds for b = 0..min(n_max, 6)."""
-    from ncpseq.oracles import check_max_ground
-
     started = time.perf_counter()
     b_max = min(n_max, MAX_GROUND_B_CAP)
     checked = 0
@@ -222,6 +222,19 @@ def max_ground_suite(n_max: int) -> CheckReport:
     return CheckReport(
         "max-ground", f"b=0..{b_max}", failure is None, checked, elapsed, failure
     )
+
+
+# Each claim `check` can run, by name, with its suite.  An entry looks
+# its suite up when it is called, so a suite replaced on this module by
+# name (as tracers and tests do) is the one that runs.
+CLAIM_SUITES: dict[str, Callable[[int], CheckReport]] = {
+    "cardinality": lambda n_max: cardinality_suite(n_max),
+    "round-trip": lambda n_max: round_trip_suite(n_max),
+    "special-structure": lambda n_max: special_structure_suite(n_max),
+    "floor-sum": lambda n_max: floor_sum_suite(),
+    "min-blocks": lambda n_max: min_blocks_suite(n_max),
+    "max-ground": lambda n_max: max_ground_suite(n_max),
+}
 
 
 def run_verify(n_max: int = DEFAULT_N_CEILING) -> dict:

@@ -1,19 +1,25 @@
 """End-to-end CLI behavior: output, exit codes, pipes, the JSON report."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncpseq._kernels_py
 import ncpseq.bijection
 import ncpseq.cli
 import ncpseq.partitions
+import ncpseq.verify
 from ncpseq import (
     CatSeq,
+    CheckReport,
     Partition,
     ValidationError,
     catalan,
@@ -151,6 +157,9 @@ def test_enumerate_rejects_negative_n(cli):
         ("enumerate", "--n", "\uff13"),
         ("verify", "--n-max", "\uff12"),
         ("check", "min-blocks", "--n-max", "\uff13"),
+        ("enumerate", "--n", "1_0"),
+        ("verify", "--n-max", "+3"),
+        ("check", "min-blocks", "--n-max", " 4"),
     ],
 )
 def test_integer_options_take_ascii_digits_only(argv, capsys):
@@ -319,6 +328,39 @@ def test_failed_stdout_write_exits_3_with_one_line(argv):
     assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, line, result",
+    [(["map"], "1,5|2,4|3\n", "1 2\n"), (["invert"], "1 2\n", "1,5|2,4|3\n")],
+)
+def test_stdin_stream_writes_before_the_input_ends(monkeypatch, argv, line, result):
+    total = 3 * ncpseq.cli._CHUNK_LINES
+
+    class Lines:
+        """A stdin with no read(); its lines are counted as they are drawn."""
+
+        drawn = 0
+
+        def __iter__(self):
+            for _ in range(total):
+                Lines.drawn += 1
+                yield line
+
+    class Out(io.StringIO):
+        drawn_at_first_write = None
+
+        def write(self, text):
+            if Out.drawn_at_first_write is None:
+                Out.drawn_at_first_write = Lines.drawn
+            return super().write(text)
+
+    out = Out()
+    monkeypatch.setattr(sys, "stdin", Lines())
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    assert out.getvalue() == result * total
+    assert Out.drawn_at_first_write == ncpseq.cli._CHUNK_LINES
+
+
 def test_stdin_stream_prints_its_results_before_the_failure():
     listing = subprocess.run(
         [sys.executable, "-m", "ncpseq", "enumerate", "--n", "8"],
@@ -433,6 +475,18 @@ def test_check_failure_exits_1(cli, monkeypatch):
     assert "fail" in out and "counterexample" in out
 
 
+@pytest.mark.parametrize("claim", sorted(ncpseq.verify.CLAIM_SUITES))
+def test_check_runs_the_suite_named_on_the_verify_module(cli, monkeypatch, claim):
+    planted = CheckReport(claim, "planted", False, 0, 0.0, "planted")
+    suite = claim.replace("-", "_") + "_suite"
+    monkeypatch.setattr(ncpseq.verify, suite, lambda *args: planted)
+    assert cli("check", claim, "--n-max", "2") == (
+        1,
+        f"check {claim} over planted: fail, counterexample planted\n",
+        "",
+    )
+
+
 def test_check_rejects_unknown_claim():
     with pytest.raises(SystemExit):
         main(["check", "perpetual-motion"])
@@ -502,3 +556,51 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "1 2\n"
+
+
+# The exit-code fuzz draws a subcommand, then options and positionals:
+# every flag but --out, sizes small enough to run at once, and junk.
+_SUBCOMMANDS = ("enumerate", "map", "invert", "verify", "check", "render", "bogus", "-h")
+_INTS = ("-1", "0", "1", "2", "3", "1_0", "+3", " 4", "\u0663")
+_POSITIONALS = (
+    "cardinality", "round-trip", "special-structure", "floor-sum",
+    "min-blocks", "max-ground", "bogus",
+    "1,5|2,4|3", "1,3|2,4|5", PART_13, "1 2", "2 1", "1 1 1 4 1 2 1 4", "",
+    "\u0663", "|", ",", "x", "1,x|2",
+)
+_ARGV_PIECES = st.one_of(
+    st.tuples(st.sampled_from(("--n", "--n-max")), st.sampled_from(_INTS)),
+    st.tuples(st.just("--kind"), st.sampled_from(("special", "sequences", "x"))),
+    st.tuples(st.just("--format"), st.sampled_from(("ascii", "svg", "x"))),
+    st.tuples(st.sampled_from(("--count-only", "--trace", "--json", "-h"))),
+    st.tuples(st.sampled_from(_POSITIONALS)),
+)
+_STDIN_LINES = ("1,5|2,4|3", "1 2", "2 1", "", "1,3|2,4|5", "\u0663", "|", "1 x")
+
+
+@given(
+    command=st.sampled_from(_SUBCOMMANDS),
+    pieces=st.lists(_ARGV_PIECES, max_size=3),
+    stdin=st.lists(st.sampled_from(_STDIN_LINES), max_size=4).map("\n".join),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_exit_code_contract(command, pieces, stdin):
+    """Any argv ends in exit 0-3 with at most one stderr line, or in argparse."""
+    argv = [command, *(token for piece in pieces for token in piece)]
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        mock.patch.object(sys, "stdin", io.StringIO(stdin)),
+        # A lower default --n-max keeps each verify and check run quick,
+        # and puts the warning above it within reach of --n-max 3.
+        mock.patch.object(ncpseq.verify, "DEFAULT_N_CEILING", 2),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2)
+        else:
+            assert code in (0, 1, 2, 3)
+            assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()

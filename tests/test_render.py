@@ -2,12 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from ncpseq import (
     ArcDiagram,
-    RenderSpec,
-    ValidationError,
     enumerate_special,
     initial_diagram,
     inverse_trace,
@@ -62,16 +58,6 @@ def test_ascii_has_no_trailing_spaces():
                 assert line == line.rstrip()
 
 
-def test_renderspec_validation():
-    RenderSpec()
-    with pytest.raises(ValidationError):
-        RenderSpec(spacing=0)
-    with pytest.raises(ValidationError):
-        RenderSpec(margin=-1)
-    with pytest.raises(ValidationError):
-        RenderSpec(arc_style="bezier")
-
-
 def test_svg_minimal_diagram():
     text = render_svg(initial_diagram(0))
     tags = svg_elements(text)
@@ -100,16 +86,6 @@ def test_svg_uses_only_the_allowed_subset():
 def test_svg_byte_deterministic():
     d = to_arcs(parse_partition(PART_13))
     assert render_svg(d) == render_svg(d)
-    assert render_svg(d, RenderSpec()) == render_svg(d)
-
-
-def test_svg_respects_spec_knobs():
-    d = to_arcs(parse_partition("1,5|2,4|3"))
-    wide = render_svg(d, RenderSpec(spacing=80.0))
-    assert wide != render_svg(d)
-    ET.fromstring(wide)
-    unlabeled = render_svg(d, RenderSpec(show_labels=False))
-    assert svg_elements(unlabeled).count("text") == 0
 
 
 def test_path_count_equals_arc_count():
