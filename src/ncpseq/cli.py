@@ -11,8 +11,8 @@ every line of stdin, so enumerate can pipe straight through them.
 Each stdin line is one input, consumed as it arrives, and the stream
 stops at the first line that fails, with that line's exit code, after
 the results of the lines before it are printed (ahead of its message);
-the rest of stdin is left unread.  A blank line is the
-n = 0 sequence for invert and a parse error (exit 2) for map.
+the rest of stdin is left unread.  A blank line is the n = 0 sequence
+for invert and a parse error (exit 2) for map.
 Listings and stdin streams are written in chunks of lines, one write
 per chunk; enumerate writes the canonical texts the listings give with
 as_text, so no Partition or CatSeq is built per line.
