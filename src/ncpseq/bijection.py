@@ -17,9 +17,24 @@ inverse runs the n stretches in place on one pair of left/right
 endpoint lists and reads the blocks off by chasing each arc to the
 next, so it costs O(n + s_1 + .. + s_n) and builds no intermediate
 diagram.  stretch_step and inverse_trace use the same in-place step and
-wrap its result in an ArcDiagram.  The step checks its preconditions,
-and a valid diagram that meets them stays valid, so those diagrams and
-the final partition are not validated again.
+wrap its result in an ArcDiagram.
+
+Where the checks run:
+
+* forward needs a special partition, and checks that through the
+  partition's cached special verdict.  Its image lies in S_n by the
+  paper's theorem, so it is wrapped as a CatSeq unchecked; the tests
+  check the theorem over every special partition up to n = 9 and on
+  samples up to n = 300.
+* inverse needs a member of S_n, which CatSeq has checked, and runs its
+  steps with no further check: membership implies each step's shape.
+  By (i), s_{n-i+1} <= n-i+1, so v - 1 arcs follow arc i; by (ii), the
+  arcs a step reaches lie inside the chain of span-2 arcs that every
+  earlier step left from arc i on (a step fails exactly when v exceeds
+  the governing bound; see stretch_step).
+* stretch_step and inverse_trace take any diagram and width, so their
+  step checks its preconditions.  A valid diagram that meets them stays
+  valid, so their diagrams and final partition are not validated again.
 """
 
 from __future__ import annotations
@@ -73,14 +88,16 @@ def _gaps(p: Partition) -> tuple[int, ...]:
         raise ValidationError(f"difference sequence needs a special partition ({reason})")
     diffs = [0] * p.ground_size
     for block in p.blocks:
-        for x, y in zip(block, block[1:]):
+        x = block[0]
+        for y in block[1:]:
             diffs[x - 1] = y - x
+            x = y
     return tuple(diffs)
 
 
 def forward(p: Partition) -> CatSeq:
     """Map a special partition of [2n+1] to its sequence in S_n."""
-    return CatSeq(tuple(d // 2 for d in reversed(_gaps(p)) if d))
+    return CatSeq._trusted(tuple([d // 2 for d in reversed(_gaps(p)) if d]))
 
 
 def initial_diagram(n: int) -> ArcDiagram:
@@ -115,6 +132,12 @@ def _stretch(left: list[int], right: list[int], i: int, v: int) -> None:
         if left[at + k] != q or right[at + k] != q + 2:
             got = (left[at + k], right[at + k])
             raise StretchError(f"arc {i + k} is {got}, expected {(q, q + 2)}")
+    _slide(left, right, at, v)
+
+
+def _slide(left: list[int], right: list[int], at: int, v: int) -> None:
+    # The unchecked stretch of the arc at index at, for v > 1.
+    p = left[at]
     right[at] = p + 2 * v
     left[at + 1 : at + v] = range(p + 1, p + 2 * v - 2, 2)
     right[at + 1 : at + v] = range(p + 3, p + 2 * v, 2)
@@ -244,6 +267,7 @@ def inverse(s: CatSeq) -> Partition:
     n = len(s.entries)
     left = list(range(1, 2 * n, 2))
     right = list(range(3, 2 * n + 2, 2))
-    for i in range(1, n + 1):
-        _stretch(left, right, i, s.entries[n - i])
+    for at, v in enumerate(reversed(s.entries)):
+        if v > 1:
+            _slide(left, right, at, v)
     return Partition._trusted(2 * n + 1, _arc_chains(2 * n + 1, zip(left, right)))

@@ -20,7 +20,8 @@ enumerate warns on stderr before listing above n = LISTING_N_CEILING
 and before counting above n = COUNT_N_CEILING.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
-as a sequence and inverted first.
+as a sequence and inverted first.  From stdin it reads at most
+RENDER_STDIN_LIMIT characters; longer input is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ LISTING_N_CEILING = 11
 COUNT_N_CEILING = 1000
 # Lines per stdout write: few system calls, and a bounded text per write.
 _CHUNK_LINES = 1024
+# render's one stdin input, in characters: far above any input whose
+# drawing is of a size to look at, and a bound on the memory it takes.
+RENDER_STDIN_LIMIT = 1 << 20
 
 
 def _ascii_int(text: str) -> int:
@@ -270,7 +274,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_render(ns: argparse.Namespace) -> int:
-    text = ns.text if ns.text is not None else sys.stdin.read().strip()
+    text = ns.text if ns.text is not None else _render_stdin()
     looks_like_partition = (
         "|" in text or "," in text or len(text.split()) <= 1
     )
@@ -300,6 +304,15 @@ def cmd_render(ns: argparse.Namespace) -> int:
     except OSError as exc:
         raise _Failure(3, f"io error: {exc}")
     return 0
+
+
+def _render_stdin() -> str:
+    text = sys.stdin.read(RENDER_STDIN_LIMIT + 1)
+    if len(text) > RENDER_STDIN_LIMIT:
+        raise _Failure(
+            2, f"usage error: render reads at most {RENDER_STDIN_LIMIT} characters of stdin"
+        )
+    return text.strip()
 
 
 def _render_diagram(fmt: str, diagram) -> str:

@@ -20,16 +20,29 @@ pairwise distinct, and no two arcs cross (sharing an endpoint is fine);
 blocks are exactly the maximal chains of arcs linked by shared
 endpoints.
 
-The special verdict of a Partition is computed once per object:
-special_violation stores its answer on the instance, outside the
-dataclass fields, so equality, hashing and repr do not see it.
+Where each check runs:
+
+* The Partition constructor sorts and checks any blocks it is given.
+  Code that has just proved its blocks a canonical partition wraps them
+  with Partition._trusted instead, unchecked.
+* parse_partition reads the text in one step, sorts the blocks, and
+  wraps them unchecked when their elements are exactly 1..m: then they
+  cover 1..m once each and, sorted, are canonical.  Text it cannot read
+  that way, or blocks that fail that test, are read again token by
+  token and go through the checked constructor, which names the first
+  fault.  Nothing is sized by the largest element before that test.
+* The special verdict is computed once per object: special_violation
+  stores its answer on the instance, outside the dataclass fields, so
+  equality, hashing and repr do not see it.  Non-crossing and "no
+  consecutive pair" are one scan over a successor array; only when it
+  fails do the checks run one by one, to name the first that breaks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -75,12 +88,6 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    @cached_property
-    def _special_verdict(self) -> str | None:
-        # Not a field: cached_property writes the instance __dict__
-        # directly, past the frozen __setattr__.
-        return _special_checks(self)
-
 
 def _is_canonical(blocks: object) -> bool:
     """True when blocks is a tuple of ascending int tuples ordered by least element.
@@ -125,6 +132,12 @@ def _check_partition(m: int, blocks: tuple[Block, ...]) -> None:
         raise ValidationError(f"element {missing} missing from the partition")
 
 
+# What the one-step reader takes: ASCII digits, the two separators and
+# blanks.  int() reads a token of these exactly when _read_blocks does,
+# to the same value.
+_PARTITION_CHARS = frozenset("0123456789" + BLOCK_SEP + ELEMENT_SEP + " \t")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse canonical block text like "1,5|2,4|3"; spaces are tolerated.
 
@@ -132,6 +145,23 @@ def parse_partition(text: str) -> Partition:
     breaks the grammar and ValidationError when the parsed blocks are
     not a partition of {1..max element}.
     """
+    if _PARTITION_CHARS.issuperset(text):
+        chunks = text.split(BLOCK_SEP)
+        try:
+            blocks = sorted([tuple(sorted(map(int, c.split(ELEMENT_SEP)))) for c in chunks])
+        except ValueError:  # an empty, spaced or overlong token
+            pass
+        else:
+            # When the elements are 1..m, the sorted blocks are canonical.
+            elements = sorted(chain.from_iterable(blocks))
+            if elements == list(range(1, len(elements) + 1)):
+                return Partition._trusted(len(elements), tuple(blocks))
+    blocks = _read_blocks(text)
+    return Partition(max(map(max, blocks)), tuple(blocks))
+
+
+def _read_blocks(text: str) -> list[Block]:
+    # Token by token, to name the first bad one.
     blocks = []
     for chunk in text.split(BLOCK_SEP):
         elems = []
@@ -147,8 +177,7 @@ def parse_partition(text: str) -> Partition:
                 raise ParseError("elements are 1-based, got 0")
             elems.append(value)
         blocks.append(tuple(elems))
-    ground = max(max(b) for b in blocks)
-    return Partition(ground, tuple(blocks))
+    return blocks
 
 
 def format_partition(p: Partition) -> str:
@@ -197,8 +226,30 @@ def _adjacent_pair(p: Partition) -> tuple[int, int] | None:
 
 
 def is_semi_special(p: Partition) -> bool:
-    """Non-crossing with no block containing both i and i+1."""
-    return is_noncrossing(p) and _adjacent_pair(p) is None
+    """Non-crossing with no block containing both i and i+1.
+
+    One scan, over the successor of each element in its block (0
+    after a block's last element).  A partition is non-crossing exactly
+    when the arcs joining each element to its successor do not cross,
+    and they do not cross exactly when each arc is on top of the stack
+    of open arcs when its right end arrives: an arc left below stays on
+    the stack to the end.
+    """
+    succ = [0] * (p.ground_size + 1)
+    for block in p.blocks:
+        x = block[0]
+        for y in block[1:]:
+            succ[x] = y
+            x = y
+    open_ends = [-1]  # under the open arcs: an end that never arrives
+    for x, y in enumerate(succ):
+        if open_ends[-1] == x:
+            open_ends.pop()
+        if y:
+            if y == x + 1:
+                return False
+            open_ends.append(y)
+    return len(open_ends) == 1
 
 
 def special_violation(p: Partition) -> str | None:
@@ -208,7 +259,13 @@ def special_violation(p: Partition) -> str | None:
     blocks, non-crossing, no two consecutive integers in a block.  The
     checks run on the first call for p; later calls return that answer.
     """
-    return p._special_verdict
+    # Not a field: the answer goes in the instance __dict__, past the
+    # frozen __setattr__.  functools.cached_property does the same, but
+    # before Python 3.12 it takes a lock that costs as much as the checks.
+    saved = p.__dict__
+    if "_special_verdict" not in saved:
+        saved["_special_verdict"] = _special_checks(p)
+    return saved["_special_verdict"]
 
 
 def _special_checks(p: Partition) -> str | None:
@@ -217,12 +274,13 @@ def _special_checks(p: Partition) -> str | None:
     want = (p.ground_size + 1) // 2
     if len(p.blocks) != want:
         return f"{len(p.blocks)} blocks where {want} are required"
+    if is_semi_special(p):
+        return None
+    # The scan does not say which condition failed; name the first.
     if not is_noncrossing(p):
         return "crossing blocks"
-    adjacent = _adjacent_pair(p)
-    if adjacent is not None:
-        return f"consecutive integers {adjacent[0]},{adjacent[1]} in one block"
-    return None
+    x, y = _adjacent_pair(p)
+    return f"consecutive integers {x},{y} in one block"
 
 
 def is_special(p: Partition) -> bool:

@@ -25,7 +25,10 @@ is the chosen value.  Every choice 1 <= m <= g_q at the cursor keeps
 the run completable, and distinct choice runs give distinct sequences.
 
 Text form: space-separated ASCII decimal integers; the empty string is the
-unique n = 0 sequence.
+unique n = 0 sequence.  parse_sequence reads the text in one step, or
+token by token when that fails, to name the first bad token; membership
+is then checked once, by CatSeq.  CatSeq._trusted wraps entries with no
+check, for code that has proved them a member: forward's images.
 """
 
 from __future__ import annotations
@@ -92,6 +95,17 @@ class CatSeq:
         if reason is not None:
             raise ValidationError(reason)
 
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> CatSeq:
+        """Wrap entries without checking them.
+
+        Only for entries that the calling code has just proved, or that
+        a theorem proves, to be a member of S_n.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     def __str__(self) -> str:
         return format_sequence(self)
 
@@ -102,12 +116,28 @@ class CatSeq:
         return iter(self.entries)
 
 
+# What the one-step reader takes: ASCII digits and blanks.  int() reads
+# a token of these exactly when the per-token loop does, to the same
+# value.
+_SEQUENCE_CHARS = frozenset("0123456789 \t")
+
+
 def parse_sequence(text: str) -> CatSeq:
     """Parse space-separated entries; the empty string is the n=0 sequence.
 
     Raises ParseError on non-integer tokens and ValidationError when
     the entries fall outside S_n.
     """
+    return CatSeq(_read_entries(text))
+
+
+def _read_entries(text: str) -> tuple[int, ...]:
+    if _SEQUENCE_CHARS.issuperset(text):
+        try:
+            return tuple(map(int, text.split()))
+        except ValueError:  # more digits than int() converts
+            pass
+    # Token by token, to name the first bad one.
     entries = []
     for token in text.split():
         if not (token.isascii() and token.isdigit()):
@@ -116,7 +146,7 @@ def parse_sequence(text: str) -> CatSeq:
             entries.append(int(token))
         except ValueError:  # more digits than int() converts
             raise ParseError(f"integer of {len(token)} digits is too long") from None
-    return CatSeq(tuple(entries))
+    return tuple(entries)
 
 
 def format_sequence(s: CatSeq) -> str:

@@ -29,10 +29,11 @@ from ncpseq import (
     is_special,
     parse_partition,
     parse_sequence,
+    sequence_violation,
     set_value,
+    special_violation,
     stretch_step,
     to_arcs,
-    validate_sequence,
 )
 
 PART_13 = "1,13|2,4,6,12|3|5|7,11|8,10|9"
@@ -92,10 +93,22 @@ def test_forward_examples():
     assert forward(parse_partition("1")).entries == ()
 
 
-@pytest.mark.parametrize("n", range(8))
+# forward wraps its image unchecked, on the paper's theorem that it lies
+# in S_n; these check the theorem with the membership check itself.
+@pytest.mark.parametrize("n", range(10))
 def test_forward_lands_in_s_n(n):
     for p in enumerate_special(n):
-        assert validate_sequence(forward(p).entries)
+        assert sequence_violation(forward(p).entries) is None
+
+
+@given(members(n_max=300))
+@settings(max_examples=40, deadline=None)
+def test_forward_lands_in_s_n_on_long_special_partitions(s):
+    p = inverse(s)
+    assert special_violation(p) is None
+    image = forward(p)
+    assert sequence_violation(image.entries) is None
+    assert image == s
 
 
 def test_initial_diagram():

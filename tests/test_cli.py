@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -209,14 +211,33 @@ def test_map_reads_stdin_lines(cli):
 
 
 def test_map_checks_each_input_once(cli, monkeypatch):
+    # The special check of a special partition is one scan, for
+    # non-crossing and "no consecutive pair" at once.
     scans = []
-    real = ncpseq.partitions.is_noncrossing
+    real = ncpseq.partitions.is_semi_special
     monkeypatch.setattr(
-        ncpseq.partitions, "is_noncrossing", lambda p: scans.append(p) or real(p)
+        ncpseq.partitions, "is_semi_special", lambda p: scans.append(p) or real(p)
     )
     code, out, err = cli("map", stdin=f"1,3,5|2|4\n1,5|2,4|3\n{PART_13}\n")
     assert (code, out) == (0, "1 1\n1 2\n1 2 3 1 1 6\n")
     assert len(scans) == 3
+
+
+@pytest.mark.parametrize("text, missing", [("999999999999", 1), ("1,999999999999", 2)])
+def test_map_of_a_huge_element_exits_2_at_once(cli, text, missing):
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        result = cli("map", text)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", f"invalid partition: element {missing} missing from the partition\n")
+    # Nothing is sized by the element: no array of 10^12 entries, and no
+    # walk over them.
+    assert peak < 1_000_000
+    assert elapsed < 5
 
 
 def test_invert_worked_example(cli):
@@ -513,6 +534,32 @@ def test_render_reads_stdin(cli):
     code, out, err = cli("render", stdin="1,5|2,4|3\n")
     assert code == 0
     assert out.endswith("1 2 3 4 5\n")
+
+
+class _Endless(io.TextIOBase):
+    """A stdin that never ends: each read returns as much as asked."""
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise MemoryError("read all of an endless stdin")
+        return "x" * size
+
+
+def test_render_reads_a_bounded_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _Endless())
+    assert main(["render"]) == 2
+    out, err = capsys.readouterr()
+    limit = ncpseq.cli.RENDER_STDIN_LIMIT
+    assert (out, err) == ("", f"usage error: render reads at most {limit} characters of stdin\n")
+
+
+def test_render_stdin_limit_is_inclusive(cli, monkeypatch):
+    text = "1,5|2,4|3\n"
+    monkeypatch.setattr(ncpseq.cli, "RENDER_STDIN_LIMIT", len(text))
+    assert cli("render", stdin=text) == cli("render", "1,5|2,4|3")
+    code, out, err = cli("render", stdin=text + " ")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: render reads at most")
 
 
 def test_render_error_codes(cli):

@@ -350,9 +350,9 @@ def test_structure_check_judges_each_distinct_gap_once(monkeypatch):
         ncpseq.oracles, "is_special", lambda p: judged.append(p) or is_special(p)
     )
     scans = []
-    real = ncpseq.partitions.is_noncrossing
+    real = ncpseq.partitions.is_semi_special
     monkeypatch.setattr(
-        ncpseq.partitions, "is_noncrossing", lambda p: scans.append(p) or real(p)
+        ncpseq.partitions, "is_semi_special", lambda p: scans.append(p) or real(p)
     )
     assert check_special_structure(n).passed
     assert sorted(judged, key=format_partition) == sorted(gaps, key=format_partition)

@@ -1,7 +1,9 @@
 """Partition parsing, validation, crossing detection, pieces, arcs."""
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncpseq.partitions
@@ -98,6 +100,113 @@ def test_parse_rejects_non_partitions():
         parse_partition("1|999999999999")
 
 
+def _parse_per_token(text):
+    """parse_partition one token at a time, through the checked constructor.
+
+    The reference for the one-step reader: the same value, or the same
+    error class and message.
+    """
+    blocks = []
+    for chunk in text.split("|"):
+        elems = []
+        for token in chunk.split(","):
+            token = token.strip()
+            if not (token.isascii() and token.isdigit()):
+                raise ParseError(f"expected a positive integer, got {token!r}")
+            try:
+                value = int(token)
+            except ValueError:
+                raise ParseError(f"integer of {len(token)} digits is too long") from None
+            if value == 0:
+                raise ParseError("elements are 1-based, got 0")
+            elems.append(value)
+        blocks.append(tuple(elems))
+    return Partition(max(max(b) for b in blocks), tuple(blocks))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# Characters the one-step reader takes, look-alikes it must refuse (a
+# sign, an underscore, a superscript, Arabic-Indic and fullwidth
+# digits), and digit runs longer than int() converts.
+_TEXT_PIECES = st.one_of(
+    st.sampled_from("0123456789,| \t+_\u00b2\u0662\uff10"),
+    st.integers(4301, 4400).map(lambda k: "7" * k),
+)
+
+
+# Ways to write an element: as is, or in a form int() reads and the
+# grammar does not (a sign, an underscore, non-ASCII digits), or with a
+# leading zero, which both read.
+_SPELLINGS = (
+    str, str, str, str,
+    lambda x: "+" + str(x),
+    lambda x: f"0_{x}",
+    lambda x: str(x).replace("1", "\u0661").replace("0", "\uff10"),
+    lambda x: "0" + str(x),
+)
+
+
+@st.composite
+def partition_texts(draw):
+    """A set partition in any order with blanks, maybe one element off or misspelled."""
+    p = draw(random_partitions(m_max=12))
+    blocks = [draw(st.permutations(b)) for b in draw(st.permutations(p.blocks))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(blocks) - 1))
+        j = draw(st.integers(0, len(blocks[i]) - 1))
+        blocks[i][j] = draw(st.integers(0, p.ground_size + 2))
+    blank = st.sampled_from(("", "", " ", "\t", " \t"))
+    spell = st.sampled_from(_SPELLINGS)
+    return "|".join(
+        ",".join(draw(blank) + draw(spell)(x) + draw(blank) for x in b) for b in blocks
+    )
+
+
+@given(st.one_of(st.lists(_TEXT_PIECES, max_size=30).map("".join), partition_texts()))
+@example("+1")
+@example("1,0_3|2")
+@example("1,3|2,2")
+@example("0|1")
+@settings(max_examples=300)
+def test_parse_equals_the_per_token_reference(text):
+    got, want = _outcome(parse_partition, text), _outcome(_parse_per_token, text)
+    assert got == want
+    if isinstance(got, Partition):
+        assert type(got.blocks) is tuple
+        assert all(type(b) is tuple and all(type(x) is int for x in b) for b in got.blocks)
+
+
+@pytest.mark.parametrize("text", ["1,5|2,4|3", "3 | 4,2|5,1", PART_13, "1"])
+def test_parse_reads_partition_text_in_one_step(text, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read token by token, or checked again")
+
+    want = _parse_per_token(text)
+    monkeypatch.setattr(ncpseq.partitions, "_read_blocks", refuse)
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    assert parse_partition(text) == want
+
+
+@pytest.mark.parametrize(
+    "text, missing", [("999999999999", 1), ("1,999999999999", 2), ("1|999999999999", 2)]
+)
+def test_parse_sizes_nothing_by_the_largest_element(text, missing):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"element {missing} missing"):
+            parse_partition(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_partition_constructor_validates():
     with pytest.raises(ValidationError):
         Partition(3, ((1, 2),))
@@ -159,6 +268,29 @@ def test_semi_special_examples():
 def test_semi_special_matches_definition(p):
     want = not crossing_exists(p.blocks) and not has_adjacent(p.blocks)
     assert is_semi_special(p) == want
+
+
+def _special_reference(p):
+    """The special conditions checked one by one, in definition order."""
+    if p.ground_size % 2 == 0:
+        return f"even ground size {p.ground_size}"
+    want = (p.ground_size + 1) // 2
+    if len(p.blocks) != want:
+        return f"{len(p.blocks)} blocks where {want} are required"
+    if crossing_exists(p.blocks):
+        return "crossing blocks"
+    for b in p.blocks:
+        for x, y in zip(b, b[1:]):
+            if y == x + 1:
+                return f"consecutive integers {x},{y} in one block"
+    return None
+
+
+def test_one_scan_equals_the_definitions_exhaustively():
+    for p in partitions_up_to(8):
+        want = not crossing_exists(p.blocks) and not has_adjacent(p.blocks)
+        assert is_semi_special(p) == want
+        assert special_violation(p) == _special_reference(p)
 
 
 def test_special_examples():

@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpseq import (
@@ -88,6 +88,75 @@ def test_parse_arbitrary_text_raises_only_library_errors(text):
         parse_sequence(text)
     except (ParseError, ValidationError):
         pass
+
+
+def _parse_per_token(text):
+    """parse_sequence one token at a time: the one-step reader's reference."""
+    entries = []
+    for token in text.split():
+        if not (token.isascii() and token.isdigit()):
+            raise ParseError(f"expected a positive integer, got {token!r}")
+        try:
+            entries.append(int(token))
+        except ValueError:
+            raise ParseError(f"integer of {len(token)} digits is too long") from None
+    return CatSeq(tuple(entries))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# Characters the one-step reader takes, look-alikes it must refuse, the
+# separators of partition text, and digit runs longer than int() converts.
+_TEXT_PIECES = st.one_of(
+    st.sampled_from("0123456789,| \t+_\u00b2\u0662\uff10"),
+    st.integers(4301, 4400).map(lambda k: "3" * k),
+)
+
+
+# Ways to write an entry: as is, or in a form int() reads and the
+# grammar does not (a sign, an underscore, non-ASCII digits), or with a
+# leading zero, which both read.
+_SPELLINGS = (
+    str, str, str, str,
+    lambda v: "+" + str(v),
+    lambda v: f"0_{v}",
+    lambda v: str(v).replace("1", "\u0661").replace("0", "\uff10"),
+    lambda v: "0" + str(v),
+)
+
+
+@st.composite
+def sequence_texts(draw):
+    """A member of S_n written with blanks, maybe one entry off or misspelled."""
+    n = draw(st.integers(0, 12))
+    state = GoverningState.initial(n)
+    while not state.is_complete:
+        state = set_value(state, draw(st.integers(1, governing_bounds(state)[state.cursor - 1])))
+    entries = list(state.values)
+    if entries and draw(st.booleans()):
+        entries[draw(st.integers(0, n - 1))] = draw(st.integers(0, n + 1))
+    blank = st.sampled_from((" ", "  ", "\t", " \t"))
+    spell = st.sampled_from(_SPELLINGS)
+    return draw(st.sampled_from(("", " "))) + "".join(
+        draw(spell)(v) + draw(blank) for v in entries
+    )
+
+
+@given(st.one_of(st.lists(_TEXT_PIECES, max_size=30).map("".join), sequence_texts()))
+@example("+1")
+@example("1 0_2")
+@example("1 \t2 " + "3" * 4301)
+@settings(max_examples=300)
+def test_parse_equals_the_per_token_reference(text):
+    got = _outcome(parse_sequence, text)
+    assert got == _outcome(_parse_per_token, text)
+    if isinstance(got, CatSeq):
+        assert type(got.entries) is tuple and all(type(v) is int for v in got.entries)
 
 
 def test_parse_surfaces_condition_failures():
