@@ -32,6 +32,7 @@ import os
 import sys
 from typing import Iterable, Iterator
 
+from ncpseq import __version__
 from ncpseq import verify as verify_mod
 from ncpseq.bijection import forward, inverse, inverse_trace
 from ncpseq.errors import ParseError, ValidationError
@@ -81,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="special non-crossing partitions, their Catalan sequences, "
         "and checks of the facts relating them",
     )
+    parser.add_argument("--version", action="version", version=f"ncpseq {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("enumerate", help="list or count all objects at one size")

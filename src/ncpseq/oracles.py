@@ -19,10 +19,9 @@ from ncpseq.errors import ValidationError
 from ncpseq.partitions import (
     Partition,
     _format_blocks,
-    _gap_blocks,
+    _gap_range,
     _pieces,
     format_partition,
-    is_special,
     special_violation,
 )
 
@@ -169,31 +168,32 @@ class CheckReport:
         return out
 
 
-def _structure_violation(
-    p: Partition, top: int, gap_verdicts: dict[tuple[int, tuple], bool]
-) -> str | None:
+def _structure_violation(p: Partition, top: int) -> str | None:
     if p.blocks[0][-1] != top:
         return f"1 and {top} in different blocks"
     for b in p.blocks:
         for x, y in zip(b, b[1:]):
             if (y - x) % 2:
                 return f"odd gap between {x} and {y}"
-    # Once p is known to be special, its gaps hold whole blocks and the
-    # subpartitions need no check of their own beyond the claim itself;
-    # it is also non-crossing, as the piece decomposition requires.
+    # The gap count below and the piece decomposition both rest on p
+    # being special, so that check comes first.
     reason = special_violation(p)
     if reason is not None:
         return f"not special ({reason})"
-    for bi, b in enumerate(p.blocks, start=1):
+    # Each subpartition is judged by its block count, with none built.
+    # The blocks strictly between consecutive elements lo < hi of a
+    # block are whole blocks of p, since p is non-crossing.  Relabelled,
+    # they stay non-crossing with no consecutive pair in a block, on the
+    # ground set [hi-lo-1], odd by the gap check above.  So they form a
+    # special partition exactly when they are (hi - lo) / 2 blocks.
+    blocks = p.blocks
+    for bi, b in enumerate(blocks, start=1):
         for gi in range(1, len(b)):
             lo, hi = b[gi - 1], b[gi]
-            key = (hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
-            verdict = gap_verdicts.get(key)
-            if verdict is None:
-                verdict = gap_verdicts[key] = is_special(Partition._trusted(*key))
-            if not verdict:
+            first, stop = _gap_range(blocks, lo, hi)
+            if stop - first != (hi - lo) // 2:
                 return f"subpartition at block {bi}, gap {gi} is not special"
-    if len(_pieces(p.blocks)) != 1:
+    if len(_pieces(blocks)) != 1:
         return "more than one piece"
     return None
 
@@ -208,18 +208,18 @@ def check_special_structure(
     piece decomposition is a single piece.  partitions, when given, is
     the enumeration of size n to check instead of walking it again.
 
-    Many parents share a gap partition, so the is_special verdict of
-    each distinct one is kept for the rest of this call.
+    A subpartition is judged by counting its blocks in the parent, with
+    no partition built: the parent passed the special check first, so
+    the count is all that is left to decide (see _structure_violation).
     """
     started = time.perf_counter()
     if partitions is None:
         partitions = enumerate_special(n)
-    gap_verdicts: dict[tuple[int, tuple], bool] = {}
     checked = 0
     failure = None
     for p in partitions:
         checked += 1
-        reason = _structure_violation(p, 2 * n + 1, gap_verdicts)
+        reason = _structure_violation(p, 2 * n + 1)
         if reason is not None:
             failure = f"{format_partition(p)}: {reason}"
             break

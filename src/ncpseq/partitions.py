@@ -372,19 +372,27 @@ def subpartition(p: Partition, block_index: int, gap_index: int) -> Partition:
     return Partition._trusted(hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
 
 
+def _gap_range(blocks: tuple[Block, ...], lo: int, hi: int) -> tuple[int, int]:
+    """Indices first, stop of the run of blocks strictly between lo and hi.
+
+    blocks must be those of a non-crossing partition, such as a special
+    one, and lo, hi consecutive elements of one of them.  Non-crossing
+    makes the elements between them whole blocks, the run whose least
+    elements lie in (lo, hi).  Blocks are ordered by least element, so the run is found
+    by bisection.
+    """
+    first = bisect_left(blocks, lo + 1, key=itemgetter(0))
+    return first, bisect_left(blocks, hi, lo=first, key=itemgetter(0))
+
+
 def _gap_blocks(blocks: tuple[Block, ...], lo: int, hi: int) -> tuple[Block, ...]:
     """The blocks strictly between lo and hi, shifted down to start at 1.
 
-    Unchecked core of subpartition: blocks must be those of a special
-    partition and lo, hi consecutive elements of one of them.
-    Non-crossing then makes the elements between them whole blocks,
-    the run whose least elements lie in (lo, hi), so the result is a
-    canonical partition of {1..hi-lo-1} without any further check.
-    Blocks are ordered by least element, so the run is found by
-    bisection.
+    Unchecked core of subpartition, on the run that _gap_range finds:
+    the result is a canonical partition of {1..hi-lo-1} without any
+    further check.
     """
-    first = bisect_left(blocks, lo + 1, key=itemgetter(0))
-    stop = bisect_left(blocks, hi, lo=first, key=itemgetter(0))
+    first, stop = _gap_range(blocks, lo, hi)
     return tuple([tuple([x - lo for x in b]) for b in blocks[first:stop]])
 
 

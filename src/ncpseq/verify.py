@@ -14,8 +14,9 @@ own.  Every object is validated once, when the fixture is built.
 Each fact is then computed once per object.  A partition's special
 verdict is stored on it, so the cardinality count, forward and the
 structure check share one computation; the structure check judges each
-distinct gap partition once per size; and the round-trip suite runs
-forward once per partition and inverse once per distinct sequence.
+gap by counting the parent's blocks in it, with no partition built; and
+the round-trip suite runs forward once per partition and inverse once
+per distinct sequence.
 """
 
 from __future__ import annotations

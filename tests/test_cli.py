@@ -4,16 +4,19 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncpseq
 import ncpseq._kernels_py
 import ncpseq.bijection
 import ncpseq.cli
@@ -603,6 +606,25 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "1 2\n"
+
+
+def test_version_flag_prints_the_package_version():
+    out = subprocess.run(
+        [sys.executable, "-m", "ncpseq", "--version"],
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0,
+        f"ncpseq {ncpseq.__version__}\n",
+        "",
+    )
+
+
+def test_pyproject_version_is_the_package_version():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    versions = re.findall(r'^version = "([^"]*)"$', pyproject.read_text(), re.MULTILINE)
+    assert versions == [ncpseq.__version__]
 
 
 # The exit-code fuzz draws a subcommand, then options and positionals:

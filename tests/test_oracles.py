@@ -28,7 +28,6 @@ from ncpseq import (
     is_special,
     min_ssp_blocks,
     special_violation,
-    subpartition,
 )
 from ncpseq.verify import (
     cardinality_suite,
@@ -41,7 +40,13 @@ from ncpseq.verify import (
     size_fixtures,
     special_structure_suite,
 )
-from ncpseq.partitions import _is_canonical
+from ncpseq.partitions import (
+    _gap_blocks,
+    _gap_range,
+    _is_canonical,
+    is_semi_special,
+    parse_partition,
+)
 from ncpseq.sequences import format_sequence
 
 from bruteforce import (
@@ -289,12 +294,35 @@ def test_check_special_structure_reports_a_non_special_parent():
     assert report.counterexample == "1,3,7|2,6|4|5: not special (crossing blocks)"
 
 
-def structure_reference(n, special):
-    """check_special_structure without the memo: every gap goes through
-    subpartition and special, the pieces through decompose_pieces."""
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("1,3|2|4|5", "1 and 5 in different blocks"),
+        ("1,4,5|2|3", "odd gap between 1 and 4"),
+        ("1,5|2|3|4", "not special (4 blocks where 3 are required)"),
+    ],
+)
+def test_check_special_structure_names_the_first_fault(text, reason):
+    report = check_special_structure(2, partitions=[parse_partition(text)])
+    assert not report.passed
+    assert (report.count_checked, report.counterexample) == (1, f"{text}: {reason}")
+
+
+def gap_partition(p, lo, hi):
+    """The elements strictly between lo and hi, relabelled from 1, through
+    the checked constructor: it raises unless they are whole blocks."""
+    inside = [[x - lo for x in b] for b in p.blocks if lo < b[0] < hi]
+    return Partition(hi - lo - 1, inside)
+
+
+def structure_reference(n, listing, violation=special_violation, refused=None):
+    """check_special_structure with nothing shared or counted: every gap is
+    built on its own and judged by is_special, the pieces by
+    decompose_pieces.  violation stands in for special_violation on the
+    parents, and a gap whose text is refused is judged not special."""
     top = 2 * n + 1
     checked = 0
-    for p in enumerate_special(n):
+    for p in listing:
         checked += 1
         gaps = [(x, y) for b in p.blocks for x, y in zip(b, b[1:])]
         odd = [(x, y) for x, y in gaps if (y - x) % 2]
@@ -303,15 +331,15 @@ def structure_reference(n, special):
             reason = f"1 and {top} in different blocks"
         elif odd:
             reason = f"odd gap between {odd[0][0]} and {odd[0][1]}"
-        elif special_violation(p) is not None:
-            reason = f"not special ({special_violation(p)})"
+        elif violation(p) is not None:
+            reason = f"not special ({violation(p)})"
         else:
-            bad = [
-                (bi, gi)
-                for bi, b in enumerate(p.blocks, start=1)
-                for gi in range(1, len(b))
-                if not special(subpartition(p, bi, gi))
-            ]
+            bad = []
+            for bi, b in enumerate(p.blocks, start=1):
+                for gi in range(1, len(b)):
+                    g = gap_partition(p, b[gi - 1], b[gi])
+                    if format_partition(g) == refused or not is_special(g):
+                        bad.append((bi, gi))
             if bad:
                 reason = f"subpartition at block {bad[0][0]}, gap {bad[0][1]} is not special"
             elif len(decompose_pieces(p)) != 1:
@@ -321,43 +349,123 @@ def structure_reference(n, special):
     return checked, None
 
 
-def rejecting(shape):
-    """is_special, except that the partition with text shape is refused."""
-    return lambda p: format_partition(p) != shape and is_special(p)
+def miscounting(shape):
+    """_gap_range, except that a gap holding the partition with text shape
+    comes out one block short, so the check refuses it."""
+
+    def gap_range(blocks, lo, hi):
+        first, stop = _gap_range(blocks, lo, hi)
+        gap = Partition._trusted(hi - lo - 1, _gap_blocks(blocks, lo, hi))
+        return first, stop - (format_partition(gap) == shape)
+
+    return gap_range
 
 
 @pytest.mark.parametrize("n", range(8))
 @pytest.mark.parametrize("shape", [None, "1", "1,5|2,4|3", "1,7|2,4,6|3|5"])
 def test_check_special_structure_matches_a_memo_free_reference(n, shape, monkeypatch):
-    special = is_special if shape is None else rejecting(shape)
-    want = structure_reference(n, special)
-    monkeypatch.setattr(ncpseq.oracles, "is_special", special)
+    want = structure_reference(n, enumerate_special(n), refused=shape)
+    if shape is None:
+        assert want == (catalan(n), None)
+    else:
+        monkeypatch.setattr(ncpseq.oracles, "_gap_range", miscounting(shape))
     report = check_special_structure(n)
     assert (report.count_checked, report.counterexample) == want
     assert report.passed == (want[1] is None)
 
 
-def test_structure_check_judges_each_distinct_gap_once(monkeypatch):
-    n = 6
-    gaps = {
-        subpartition(p, bi, gi)
-        for p in enumerate_special(n)
-        for bi, b in enumerate(p.blocks, start=1)
-        for gi in range(1, len(b))
-    }
-    judged = []
-    monkeypatch.setattr(
-        ncpseq.oracles, "is_special", lambda p: judged.append(p) or is_special(p)
+def test_a_refused_gap_shape_gives_the_first_structure_counterexample(monkeypatch):
+    monkeypatch.setattr(ncpseq.oracles, "_gap_range", miscounting("1,5|2,4|3"))
+    report = special_structure_suite(6)
+    assert not report.passed
+    assert report.count_checked == 24
+    assert report.counterexample == (
+        "1,7|2,6|3,5|4: subpartition at block 1, gap 1 is not special"
     )
+
+
+def accepting(text):
+    """special_violation, except that the partition with this text passes."""
+    return lambda p: None if format_partition(p) == text else special_violation(p)
+
+
+def planted_parents():
+    """Semi-special partitions of [2n+1] that keep 1 and 2n+1 together and
+    every gap even but have too many blocks, so only the gap count can
+    refuse them, with the (block, gap) where it first does."""
+    found = {}
+    for n in range(2, 8):
+        top = 2 * n + 1
+        # 1,2n+1 over singletons.
+        fan = [[1, top]] + [[x] for x in range(2, top)]
+        # The comb 1,3,..,2n+1 with its last tooth dropped: the last gap
+        # of the first block holds three singletons.
+        comb = [list(range(1, top - 3, 2)) + [top]]
+        comb += [[x] for x in range(2, top) if x not in comb[0]]
+        # Nested arcs i,2n+2-i with the innermost one cut in two.
+        nest = [[i, top + 1 - i] for i in range(1, n)] + [[n], [n + 1], [n + 2]]
+        for blocks, first_bad in ((fan, (1, 1)), (comb, (1, n - 1)), (nest, (1, 1))):
+            text = format_partition(Partition(top, blocks))
+            found.setdefault(text, (n, first_bad))
+    return [(text, n, bad) for text, (n, bad) in found.items()]
+
+
+@pytest.mark.parametrize("text, n, first_bad", planted_parents())
+def test_a_planted_parent_fails_at_its_first_overfull_gap(text, n, first_bad, monkeypatch):
+    planted = parse_partition(text)
+    assert is_semi_special(planted) and not is_special(planted)
+    listing = sorted([*enumerate_special(n), planted], key=format_partition)
+    violation = accepting(text)
+    want = structure_reference(n, listing, violation)
+    assert want == (
+        listing.index(planted) + 1,
+        f"{text}: subpartition at block {first_bad[0]}, gap {first_bad[1]} is not special",
+    )
+    monkeypatch.setattr(ncpseq.oracles, "special_violation", violation)
+    report = check_special_structure(n, partitions=listing)
+    assert not report.passed
+    assert (report.count_checked, report.counterexample) == want
+
+
+def test_structure_check_builds_no_gap_and_scans_each_parent_once(monkeypatch):
+    n = 6
+    parts = list(enumerate_special(n))
+
+    def forbidden(*args):
+        raise AssertionError("a gap partition was built")
+
+    monkeypatch.setattr(ncpseq.partitions, "_gap_blocks", forbidden)
+    monkeypatch.setattr(Partition, "_trusted", forbidden)
     scans = []
     real = ncpseq.partitions.is_semi_special
     monkeypatch.setattr(
         ncpseq.partitions, "is_semi_special", lambda p: scans.append(p) or real(p)
     )
-    assert check_special_structure(n).passed
-    assert sorted(judged, key=format_partition) == sorted(gaps, key=format_partition)
-    # One scan per parent, in its special check, and one per distinct gap.
-    assert len(scans) == catalan(n) + len(gaps)
+    assert check_special_structure(n, partitions=parts).passed
+    # One scan per parent, in its special check, and none for any gap.
+    assert scans == parts
+    assert len(scans) == catalan(n)
+
+
+def test_gap_count_verdict_is_the_special_verdict_of_the_built_gap():
+    """The structure check's shortcut, on every even gap of every
+    semi-special partition of [m], m <= 13: the gap is special exactly
+    when it holds (hi - lo) / 2 blocks."""
+    gaps = refused = 0
+    for m in range(1, 14):
+        for p in enumerate_ssp(m):
+            for b in p.blocks:
+                for lo, hi in zip(b, b[1:]):
+                    if (hi - lo) % 2:
+                        continue
+                    first, stop = _gap_range(p.blocks, lo, hi)
+                    assert stop - first == sum(1 for c in p.blocks if lo < c[0] < hi)
+                    by_count = stop - first == (hi - lo) // 2
+                    built = Partition._trusted(hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
+                    assert by_count == is_special(built), (format_partition(p), lo, hi)
+                    gaps += 1
+                    refused += not by_count
+    assert (gaps, refused) == (59488, 16494)
 
 
 def test_structure_suite_does_not_call_decompose_pieces(monkeypatch):
@@ -367,16 +475,6 @@ def test_structure_suite_does_not_call_decompose_pieces(monkeypatch):
     monkeypatch.setattr(ncpseq.partitions, "decompose_pieces", forbidden)
     monkeypatch.setattr(ncpseq.oracles, "decompose_pieces", forbidden, raising=False)
     assert special_structure_suite(6).passed
-
-
-def test_a_refused_gap_shape_gives_the_first_structure_counterexample(monkeypatch):
-    monkeypatch.setattr(ncpseq.oracles, "is_special", rejecting("1,5|2,4|3"))
-    report = special_structure_suite(6)
-    assert not report.passed
-    assert report.count_checked == 24
-    assert report.counterexample == (
-        "1,7|2,6|3,5|4: subpartition at block 1, gap 1 is not special"
-    )
 
 
 def test_round_trip_runs_each_map_once_per_object(monkeypatch):
