@@ -2,8 +2,8 @@
 
 The walks and counts are self-contained on purpose.  They never touch
 the bijection, so their output can referee it.  The walks are
-generators over an explicit stack with one frame per element or entry,
-so how deep they go is not bounded by the recursion limit.
+generators that keep their own state per element or entry, so how deep
+they go is not bounded by the recursion limit.
 
 Partition walk: scan elements 1..m with a stack of open blocks.
 Element e either opens a new block or joins an open block strictly
@@ -16,10 +16,22 @@ target prunes every branch that can no longer reach it; the pruning
 only removes branches that emit nothing, so the emission order is that
 of the unpruned walk.
 
+The walk keeps its state in flat per-element arrays, as set-partition
+generators do (Knuth, TAOCP Vol. 4A, 7.2.1.5), so no step copies the
+stack.  One array holds the block open at each depth; a join only
+lowers the depth and leaves the blocks above it in place.  Per element
+e it keeps the depth before e, the choice taken at e, and the block
+that opening a block at e covered at that depth, which backtracking
+restores in O(1).
+
 The walk builds each partition as it goes: it keeps one list per
-block, appends e to the block it opens or joins and pops it again on
-backtrack, so a leaf only freezes the lists.  Those blocks are a
-canonical partition of [m] by construction: every element 1..m is
+block, appends e's label to the block e opens or joins and pops it
+again on backtrack, so a leaf only freezes the lists.  By default the
+label is e and a leaf freezes to a tuple of block tuples; a listing of
+texts passes each element's text and a freeze that joins the lists
+straight into canonical text, so nothing is formatted twice and this
+module knows no text format.  The blocks are a canonical partition
+of [m] by construction: every element 1..m is
 appended exactly once, to exactly one block; elements arrive in
 increasing order, so each block is ascending and is opened by its
 least element; and blocks are listed in the order they were opened,
@@ -55,9 +67,15 @@ Counts are dynamic programs that never walk, and never recurse:
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 PartitionBlocks = tuple[tuple[int, ...], ...]
+T = TypeVar("T")  # what the partition walk stores for each element
+L = TypeVar("L")  # what it freezes each leaf into
+
+
+def _freeze_blocks(members: list[list[int]]) -> PartitionBlocks:
+    return tuple(map(tuple, members))
 
 
 def ssp_partitions(m: int) -> list[PartitionBlocks]:
@@ -70,9 +88,18 @@ def count_ssp_partitions(m: int) -> int:
     return _count_partition_leaves(m, None)
 
 
-def special_partitions(n: int) -> list[PartitionBlocks]:
-    """All special partitions of [2n+1]: semi-special with n+1 blocks."""
-    return list(_partition_walk(2 * n + 1, n + 1))
+def special_partitions(
+    n: int,
+    labels: Sequence[T] | None = None,
+    freeze: Callable[[list[list[T]]], L] = _freeze_blocks,
+) -> list[L]:
+    """All special partitions of [2n+1]: semi-special with n+1 blocks.
+
+    In construction order, each frozen from the walk's lists of blocks
+    by freeze, with element e stored as labels[e]: by default e itself,
+    frozen to a tuple of block tuples.
+    """
+    return list(_partition_walk(2 * n + 1, n + 1, labels, freeze))
 
 
 def count_special_partitions(n: int) -> int:
@@ -92,46 +119,64 @@ def _can_finish(need: int, left: int, depth: int) -> bool:
     return 0 <= need <= left and 2 * need >= left - depth + 1
 
 
-def _partition_walk(m: int, target: int | None) -> Iterator[PartitionBlocks]:
+def _partition_walk(
+    m: int,
+    target: int | None,
+    labels: Sequence[T] | None = None,
+    freeze: Callable[[list[list[T]]], L] = _freeze_blocks,
+) -> Iterator[L]:
     if m < 1:
         raise ValueError("ground size must be at least 1")
-    members: list[list[int]] = []
-    # frames[e - 1]: the open blocks before element e, and the choice
-    # taken at e: -1 none yet, 0 opened a block, j >= 1 joined stack[-1 - j].
-    frames: list[list] = [[(), -1]]
-    while frames:
-        frame = frames[-1]
-        stack, j = frame
-        e = len(frames)
+    if labels is None:
+        labels = range(m + 1)
+    members: list[list] = []
+    # open_at[d]: the block open at depth d (0 = bottom), while d is
+    # below the current depth; joins leave the blocks above in place.
+    open_at: list = [None] * (m + 1)
+    # Per element e: the depth before e, the choice taken at e (-1 none
+    # yet, 0 opened a block at depth[e], j >= 1 joined the block j below
+    # the top), and the block that opening at e covered at depth[e].
+    depth = [0] * (m + 1)
+    choice = [-1] * (m + 1)
+    saved: list = [None] * (m + 1)
+    e = 1
+    while e:
+        k = depth[e]
+        j = choice[e]
         # Undo the choice taken at e, then take the next one the bound allows.
         if j == 0:
             members.pop()
+            open_at[k] = saved[e]
         elif j > 0:
-            stack[-1 - j].pop()
+            open_at[k - 1 - j].pop()
         j += 1
         if j == 0:
-            if target is None or _can_finish(target - len(members) - 1, m - e, len(stack) + 1):
-                block = [e]
+            if target is None or _can_finish(target - len(members) - 1, m - e, k + 1):
+                block = [labels[e]]
                 members.append(block)
-                below = stack + (block,)
+                saved[e] = open_at[k]
+                open_at[k] = block
+                below = k + 1
             else:
                 j = 1
         if j > 0:
             # As j grows the join reaches further below the top and
             # leaves fewer blocks open, so the bound only tightens: its
             # first cut, or running out of blocks, ends the choices at e.
-            if j >= len(stack) or (
-                target is not None and not _can_finish(target - len(members), m - e, len(stack) - j)
+            below = k - j
+            if below < 1 or (
+                target is not None and not _can_finish(target - len(members), m - e, below)
             ):
-                frames.pop()
+                e -= 1
                 continue
-            stack[-1 - j].append(e)
-            below = stack[:-j]
-        frame[1] = j
+            open_at[below - 1].append(labels[e])
+        choice[e] = j
         if e == m:
-            yield tuple(map(tuple, members))
+            yield freeze(members)
         else:
-            frames.append([below, -1])
+            e += 1
+            depth[e] = below
+            choice[e] = -1
 
 
 def _count_partition_leaves(m: int, target: int | None) -> int:

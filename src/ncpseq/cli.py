@@ -17,7 +17,8 @@ Listings and stdin streams are written in chunks of lines, one write
 per chunk; enumerate writes the canonical texts the listings give with
 as_text, so no Partition or CatSeq is built per line.
 enumerate warns on stderr before listing above n = LISTING_N_CEILING
-and before counting above n = COUNT_N_CEILING.
+and before counting above n = COUNT_N_CEILING; verify, and check of a
+claim whose work grows with --n-max, warn above its default.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
 as a sequence and inverted first.  From stdin it reads at most
@@ -246,19 +247,25 @@ def _preimages(ns: argparse.Namespace) -> Iterator[str]:
             yield format_partition(trace.final_partition())
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
-    if ns.n > verify_mod.DEFAULT_N_CEILING:
+def _warn_above_n_ceiling(n_max: int) -> None:
+    if n_max > verify_mod.DEFAULT_N_CEILING:
         print(
-            f"warning: n_max {ns.n} is above the default ceiling "
+            f"warning: n_max {n_max} is above the default ceiling "
             f"{verify_mod.DEFAULT_N_CEILING}; this may take a while",
             file=sys.stderr,
         )
+
+
+def cmd_verify(ns: argparse.Namespace) -> int:
+    _warn_above_n_ceiling(ns.n)
     report = verify_mod.run_verify(ns.n)
     print(json.dumps(report, indent=2))
     return 0 if report["status"] == "pass" else 1
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
+    if ns.claim in verify_mod.SWEEPING_CLAIMS:
+        _warn_above_n_ceiling(ns.n)
     report = verify_mod.CLAIM_SUITES[ns.claim](ns.n)
     if ns.json:
         print(json.dumps(report.to_dict(), indent=2))

@@ -18,9 +18,8 @@ from ncpseq._backend import kernels
 from ncpseq.errors import ValidationError
 from ncpseq.partitions import (
     Partition,
-    _format_blocks,
     _gap_range,
-    _pieces,
+    _join_block_texts,
     format_partition,
     special_violation,
 )
@@ -39,16 +38,16 @@ def enumerate_special(n: int, *, as_text: bool = False) -> Iterator[Partition] |
     The kernel builds each one as a canonical partition of [2n+1] (see
     ncpseq._kernels_py), so its blocks are wrapped without a second
     check; the special conditions are left to special_violation.  With
-    as_text, the canonical texts come instead: each partition's blocks
-    are formatted once, and the texts are sorted, with no Partition
+    as_text, the canonical texts come instead: the walk stores each
+    element's text and freezes each leaf straight to its canonical
+    text, and the texts are sorted, with no Partition or block tuple
     built.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
     m = 2 * n + 1
     if as_text:
-        text_of = [str(x) for x in range(m + 1)].__getitem__
-        texts = [_format_blocks(blocks, text_of) for blocks in kernels.special_partitions(n)]
+        texts = kernels.special_partitions(n, [str(x) for x in range(m + 1)], _join_block_texts)
         texts.sort()
         return iter(texts)
     parts = [Partition._trusted(m, blocks) for blocks in kernels.special_partitions(n)]
@@ -175,8 +174,8 @@ def _structure_violation(p: Partition, top: int) -> str | None:
         for x, y in zip(b, b[1:]):
             if (y - x) % 2:
                 return f"odd gap between {x} and {y}"
-    # The gap count below and the piece decomposition both rest on p
-    # being special, so that check comes first.
+    # The gap count below rests on p being special, so that check
+    # comes first.
     reason = special_violation(p)
     if reason is not None:
         return f"not special ({reason})"
@@ -193,8 +192,9 @@ def _structure_violation(p: Partition, top: int) -> str | None:
             first, stop = _gap_range(blocks, lo, hi)
             if stop - first != (hi - lo) // 2:
                 return f"subpartition at block {bi}, gap {gi} is not special"
-    if len(_pieces(blocks)) != 1:
-        return "more than one piece"
+    # The piece decomposition is a single piece, with nothing to check:
+    # the first block holds 1 and 2n+1, so every other block starts
+    # under its span and joins the piece it opens.
     return None
 
 
@@ -204,8 +204,9 @@ def check_special_structure(
     """Re-check the structural facts over every special partition of [2n+1].
 
     For each one: 1 and 2n+1 share a block; consecutive elements of a
-    block differ by an even amount; every subpartition is special; the
-    piece decomposition is a single piece.  partitions, when given, is
+    block differ by an even amount; every subpartition is special.  The
+    piece decomposition is then a single piece, which needs no check
+    (see _structure_violation).  partitions, when given, is
     the enumeration of size n to check instead of walking it again.
 
     A subpartition is judged by counting its blocks in the parent, with

@@ -44,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ncpseq.errors import ParseError, ValidationError
 
@@ -185,11 +185,19 @@ def format_partition(p: Partition) -> str:
     return _format_blocks(p.blocks)
 
 
-def _format_blocks(blocks: tuple[Block, ...], text_of: Callable[[int], str] = str) -> str:
-    # The one definition of canonical text.  A listing calls it on
-    # kernel blocks, with no Partition around them, and passes a lookup
-    # in a table of str(x) for text_of, which is faster than str.
-    return BLOCK_SEP.join([ELEMENT_SEP.join(map(text_of, b)) for b in blocks])
+def _format_blocks(blocks: tuple[Block, ...]) -> str:
+    # Canonical text is defined here and in _join_block_texts, for
+    # blocks of ints and of texts; a test pins the two together.
+    return BLOCK_SEP.join([ELEMENT_SEP.join(map(str, b)) for b in blocks])
+
+
+def _join_block_texts(blocks: Iterable[Iterable[str]]) -> str:
+    """Canonical text of blocks whose elements are already text.
+
+    A listing passes this to the special walk, which stores each
+    element's text, so each leaf is frozen straight to its text.
+    """
+    return BLOCK_SEP.join(map(ELEMENT_SEP.join, blocks))
 
 
 def is_noncrossing(p: Partition) -> bool:

@@ -155,7 +155,7 @@ def format_sequence(s: CatSeq) -> str:
 
 
 def _format_entries(entries: Sequence[int], text_of: Callable[[int], str] = str) -> str:
-    # As partitions._format_blocks: a listing passes a table lookup.
+    # A listing passes a lookup in a table of str(x), which is faster than str.
     return " ".join(map(text_of, entries))
 
 

@@ -225,6 +225,10 @@ def max_ground_suite(n_max: int) -> CheckReport:
     )
 
 
+# The claims whose suites sweep every object for n = 0..n_max, so that
+# their work grows with n_max; the other suites cap their range.
+SWEEPING_CLAIMS = frozenset({"cardinality", "round-trip", "special-structure"})
+
 # Each claim `check` can run, by name, with its suite.  An entry looks
 # its suite up when it is called, so a suite replaced on this module by
 # name (as tracers and tests do) is the one that runs.

@@ -76,7 +76,7 @@ def test_enumerate_counts_far_past_any_listing(cli, argv, n):
 
 
 def test_enumerate_warns_above_the_listing_ceiling(cli, monkeypatch):
-    monkeypatch.setattr(ncpseq._kernels_py, "special_partitions", lambda n: [])
+    monkeypatch.setattr(ncpseq._kernels_py, "special_partitions", lambda n, *args: [])
     monkeypatch.setattr(ncpseq._kernels_py, "catalan_sequences", lambda n: [])
     for kind in ("special", "sequences"):
         assert cli("enumerate", "--kind", kind, "--n", "11") == (0, "", "")
@@ -421,6 +421,21 @@ def test_verify_warns_above_ceiling(cli, monkeypatch):
     code, out, err = cli("verify", "--n-max", "11")
     assert code == 0
     assert "warning" in err and "11" in err
+
+
+@pytest.mark.parametrize("claim", sorted(ncpseq.verify.CLAIM_SUITES))
+def test_check_warns_above_ceiling_when_its_work_grows_with_n_max(cli, monkeypatch, claim):
+    """check warns as verify does, for the claims that sweep every object up to n_max."""
+    sweeps = claim in {"cardinality", "round-trip", "special-structure"}
+    warning = "warning: n_max 10 is above the default ceiling 9; this may take a while\n"
+    suite = claim.replace("-", "_") + "_suite"
+    for passed, code in ((True, 0), (False, 1)):
+        planted = CheckReport(claim, "planted", passed, 0, 0.0, None if passed else "planted")
+        monkeypatch.setattr(ncpseq.verify, suite, lambda *args: planted)
+        assert cli("check", claim, "--n-max", "9")[::2] == (code, "")
+        for json_flag in ((), ("--json",)):
+            got = cli("check", claim, "--n-max", "10", *json_flag)[::2]
+            assert got == (code, warning if sweeps else "")
 
 
 def test_verify_flags_mutated_forward_map(cli, monkeypatch):

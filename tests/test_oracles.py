@@ -41,9 +41,11 @@ from ncpseq.verify import (
     special_structure_suite,
 )
 from ncpseq.partitions import (
+    _format_blocks,
     _gap_blocks,
     _gap_range,
     _is_canonical,
+    _join_block_texts,
     is_semi_special,
     parse_partition,
 )
@@ -100,11 +102,20 @@ def test_enumerate_ssp_matches_filter(m):
     assert count_ssp(m) == len(got) == MOTZKIN[m - 1]
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
 def test_special_walk_is_the_unpruned_walk_filtered(n):
     """The pruned special walk emits the n+1-block SSPs in the same order."""
     unpruned = [p for p in kernels.ssp_partitions(2 * n + 1) if len(p) == n + 1]
     assert kernels.special_partitions(n) == unpruned
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_special_walk_freezes_each_leaf_to_the_text_of_its_blocks(n):
+    """The text leaves enumerate_special sorts are the tuple leaves formatted, in walk order."""
+    labels = [str(x) for x in range(2 * n + 2)]
+    texts = kernels.special_partitions(n, labels, _join_block_texts)
+    assert texts == [_format_blocks(blocks) for blocks in kernels.special_partitions(n)]
+    assert len(texts) == catalan(n)
 
 
 def test_special_count_is_catalan():
@@ -466,6 +477,16 @@ def test_gap_count_verdict_is_the_special_verdict_of_the_built_gap():
                     gaps += 1
                     refused += not by_count
     assert (gaps, refused) == (59488, 16494)
+
+
+def test_every_special_partition_is_a_single_piece():
+    """A fact the structure check leaves unchecked, on a proof (see _structure_violation)."""
+    checked = 0
+    for n in range(10):
+        for p in enumerate_special(n):
+            assert decompose_pieces(p).supports == ((1, 2 * n + 1),), format_partition(p)
+            checked += 1
+    assert checked == sum(catalan(n) for n in range(10))
 
 
 def test_structure_suite_does_not_call_decompose_pieces(monkeypatch):
