@@ -21,8 +21,15 @@ and before counting above n = COUNT_N_CEILING; verify, and check of a
 claim whose work grows with --n-max, warn above its default.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
-as a sequence and inverted first.  From stdin it reads at most
+as a sequence and inverted first, so blank input is the n = 0 sequence
+and draws the single point 1.  From stdin it reads at most
 RENDER_STDIN_LIMIT characters; longer input is a usage error (exit 2).
+Drawing takes time linear in the output and about two copies of it in
+memory: a trace comes back from render_trace as one string, which is
+written in slices so that encoding it adds no third copy.  render warns
+on stderr before drawing ascii text of more than ASCII_CHAR_CEILING
+characters (lines x width), or a trace of more than TRACE_POINT_CEILING
+points over all its panels.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from ncpseq import __version__
 from ncpseq import verify as verify_mod
@@ -39,13 +46,14 @@ from ncpseq.bijection import forward, inverse, inverse_trace
 from ncpseq.errors import ParseError, ValidationError
 from ncpseq.oracles import count_special, enumerate_special
 from ncpseq.partitions import (
+    ArcDiagram,
     Partition,
     format_partition,
     parse_partition,
     special_violation,
     to_arcs,
 )
-from ncpseq.render import render_ascii, render_svg, render_trace
+from ncpseq.render import ascii_shape, render_ascii, render_svg, render_trace
 from ncpseq.sequences import (
     CatSeq,
     count_all,
@@ -64,6 +72,16 @@ _CHUNK_LINES = 1024
 # render's one stdin input, in characters: far above any input whose
 # drawing is of a size to look at, and a bound on the memory it takes.
 RENDER_STDIN_LIMIT = 1 << 20
+# render warns before drawing more text than this (lines x width), and
+# before a trace of more points than this over all its panels, at about
+# 200 bytes of SVG a point.  The largest ascii drawing at n = 300 is
+# under 700,000 characters, and a half-stretched trace at n = 120 draws
+# 61 panels of 241 points.
+ASCII_CHAR_CEILING = 10_000_000
+TRACE_POINT_CEILING = 100_000
+# render writes its text in slices of this many characters, so that
+# encoding it never holds a second whole copy.
+_WRITE_CHARS = 1 << 20
 
 
 def _ascii_int(text: str) -> int:
@@ -285,7 +303,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
 def cmd_render(ns: argparse.Namespace) -> int:
     text = ns.text if ns.text is not None else _render_stdin()
     looks_like_partition = (
-        "|" in text or "," in text or len(text.split()) <= 1
+        "|" in text or "," in text or len(text.split()) == 1
     )
     if looks_like_partition:
         if ns.trace:
@@ -301,18 +319,38 @@ def cmd_render(ns: argparse.Namespace) -> int:
         if ns.trace:
             if ns.fmt != "svg":
                 raise _Failure(2, "--trace renders svg only")
+            _warn_above_trace_ceiling(seq)
             content = render_trace(inverse_trace(seq))
         else:
             content = _render_diagram(ns.fmt, to_arcs(inverse(seq)))
     if ns.out is None:
-        sys.stdout.write(content)
+        _write_text(sys.stdout, content)
         return 0
     try:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+            _write_text(fh, content)
     except OSError as exc:
         raise _Failure(3, f"io error: {exc}")
     return 0
+
+
+def _write_text(fh: TextIO, content: str) -> None:
+    for at in range(0, len(content), _WRITE_CHARS):
+        fh.write(content[at : at + _WRITE_CHARS])
+
+
+def _warn_above_trace_ceiling(seq: CatSeq) -> None:
+    # A stretch by v > 1 always changes the diagram and v = 1 never
+    # does, so the trace draws the start and one panel per entry above 1.
+    panels = 1 + sum(1 for v in seq.entries if v > 1)
+    points = 2 * len(seq.entries) + 1
+    if panels * points > TRACE_POINT_CEILING:
+        print(
+            f"warning: the trace draws {panels} panels of {points} points, "
+            f"above the trace ceiling {TRACE_POINT_CEILING} points; "
+            f"this may take a while and a lot of memory",
+            file=sys.stderr,
+        )
 
 
 def _render_stdin() -> str:
@@ -324,9 +362,17 @@ def _render_stdin() -> str:
     return text.strip()
 
 
-def _render_diagram(fmt: str, diagram) -> str:
+def _render_diagram(fmt: str, diagram: ArcDiagram) -> str:
     if fmt == "svg":
         return render_svg(diagram)
+    lines, width = ascii_shape(diagram)
+    if lines * width > ASCII_CHAR_CEILING:
+        print(
+            f"warning: the drawing is {lines} lines of {width} characters, "
+            f"above the ascii ceiling {ASCII_CHAR_CEILING} characters; "
+            f"this may take a while and a lot of memory",
+            file=sys.stderr,
+        )
     return render_ascii(diagram) + "\n"
 
 

@@ -504,9 +504,18 @@ def arc_nesting_depths(d: ArcDiagram) -> dict[Arc, int]:
     """Number of arcs strictly containing each arc.
 
     (c,d) lies inside (a,b) exactly when a < c and d < b, so arcs that
-    share an endpoint never nest.
+    share an endpoint never nest.  Arcs do not cross, so in left-end
+    order the arcs containing an arc are those still open where it
+    starts; a stack holds their right ends, innermost on top, and an arc
+    closes once a left end at or after its right end is reached.  O(A)
+    for A arcs.
     """
-    return {
-        (l1, r1): sum(1 for l2, r2 in d.arcs if l2 < l1 and r1 < r2)
-        for l1, r1 in d.arcs
-    }
+    depths: dict[Arc, int] = {}
+    open_rights: list[int] = []
+    for arc in d.arcs:
+        left, right = arc
+        while open_rights and open_rights[-1] <= left:
+            open_rights.pop()
+        depths[arc] = len(open_rights)
+        open_rights.append(right)
+    return depths

@@ -2,8 +2,9 @@
 
 Everything here works straight off the definitions: partitions come
 from recursive placement, crossings from the four-index condition,
-sequences from filtering the full product.  Nothing is shared with the
-package internals.
+sequences from filtering the full product, arc depths and display rows
+from pairwise comparison.  Seeded members of S_n are drawn within the
+governing bounds.  Nothing is shared with the package internals.
 """
 
 from functools import lru_cache
@@ -87,3 +88,56 @@ def motzkin_reference(n):
     for k in range(2, n + 1):
         m.append(m[k - 1] + sum(m[j] * m[k - 2 - j] for j in range(k - 1)))
     return m[: n + 1]
+
+
+def random_member(rng, n):
+    """A member of S_n, filling positions n..1 within the governing bounds.
+
+    Fixing position q to m caps every earlier position p at m - (q - p),
+    and any choice within the current bound keeps the run completable.
+    """
+    values = [0] * (n + 1)
+    bounds = list(range(n + 1))
+    for q in range(n, 0, -1):
+        m = rng.randint(1, bounds[q])
+        values[q] = m
+        for p in range(max(1, q - m + 1), q):
+            bounds[p] = min(bounds[p], m - (q - p))
+    return values[1:]
+
+
+def half_stretched_member(rng, n):
+    """A member of S_n with exactly n // 2 entries above 1."""
+    while True:
+        seq = random_member(rng, n)
+        if sum(1 for v in seq if v > 1) == n // 2:
+            return seq
+
+
+def nesting_depths_pairwise(arcs):
+    """Each arc's count of arcs (a, b) with a < left and right < b."""
+    return {
+        (l1, r1): sum(1 for l2, r2 in arcs if l2 < l1 and r1 < r2)
+        for l1, r1 in arcs
+    }
+
+
+def rows_first_fit(arcs):
+    """Display rows of arcs: by depth, longer arcs first, each arc in the
+    first row of its depth whose every arc it leaves disjoint."""
+    depths = nesting_depths_pairwise(arcs)
+    rows = []
+    for depth in sorted(set(depths.values())):
+        level = sorted(
+            (a for a in arcs if depths[a] == depth), key=lambda a: (a[0] - a[1], a[0])
+        )
+        sub = []
+        for arc in level:
+            for row in sub:
+                if all(arc[1] < o[0] or o[1] < arc[0] for o in row):
+                    row.append(arc)
+                    break
+            else:
+                sub.append([arc])
+        rows.extend(sub)
+    return rows

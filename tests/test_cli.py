@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -32,8 +33,12 @@ from ncpseq import (
     format_partition,
     format_sequence,
     generate_all,
+    inverse_trace,
+    render_trace,
 )
 from ncpseq.cli import main
+
+from bruteforce import half_stretched_member, random_member
 
 PART_13 = "1,13|2,4,6,12|3|5|7,11|8,10|9"
 
@@ -546,6 +551,82 @@ def test_render_sequence_matches_partition_bytes(cli):
     from_seq = cli("render", "1 2 3 1 1 6", "--format", "svg")
     assert from_part[0] == from_seq[0] == 0
     assert from_part[1] == from_seq[1]
+
+
+def test_render_blank_input_is_the_empty_sequence(cli):
+    svg = render_trace(inverse_trace(CatSeq(())))
+    assert svg.count("<line") == 1
+    for stdin in ("", "\n", "  \n"):
+        assert cli("render", stdin=stdin) == (0, "1\n", "")
+        assert cli("render", "--trace", "--format", "svg", stdin=stdin) == (0, svg, "")
+    for arg in ("", " "):
+        assert cli("render", arg) == (0, "1\n", "")
+        assert cli("render", arg, "--trace", "--format", "svg") == (0, svg, "")
+
+
+def test_render_writes_the_whole_text_in_slices(cli, monkeypatch, tmp_path):
+    whole = cli("render", "1 2 3 1 1 6", "--trace", "--format", "svg")
+    monkeypatch.setattr(ncpseq.cli, "_WRITE_CHARS", 7)
+    assert cli("render", "1 2 3 1 1 6", "--trace", "--format", "svg") == whole
+    target = tmp_path / "trace.svg"
+    assert cli("render", "1 2 3 1 1 6", "--trace", "--format", "svg", "--out", str(target)) == (
+        0,
+        "",
+        "",
+    )
+    assert target.read_text(encoding="utf-8") == whole[1]
+
+
+def test_render_warns_above_the_ascii_ceiling(cli, monkeypatch):
+    # Two arc rows and the labels, 9 characters wide: 27 characters.
+    quiet = cli("render", "1,5|2,4|3")
+    monkeypatch.setattr(ncpseq.cli, "ASCII_CHAR_CEILING", 27)
+    assert cli("render", "1,5|2,4|3") == quiet
+    assert cli("render", "1 2") == quiet
+    monkeypatch.setattr(ncpseq.cli, "ASCII_CHAR_CEILING", 26)
+    for text in ("1,5|2,4|3", "1 2"):
+        code, out, err = cli("render", text)
+        assert (code, out) == quiet[:2]
+        assert err == (
+            "warning: the drawing is 3 lines of 9 characters, above the ascii "
+            "ceiling 26 characters; this may take a while and a lot of memory\n"
+        )
+    assert cli("render", "1,5|2,4|3", "--format", "svg")[2] == ""
+
+
+def test_render_warns_above_the_trace_ceiling(cli, monkeypatch):
+    # The start and one stretch: 2 panels of 5 points.
+    quiet = cli("render", "1 2", "--trace", "--format", "svg")
+    monkeypatch.setattr(ncpseq.cli, "TRACE_POINT_CEILING", 10)
+    assert cli("render", "1 2", "--trace", "--format", "svg") == quiet
+    monkeypatch.setattr(ncpseq.cli, "TRACE_POINT_CEILING", 9)
+    code, out, err = cli("render", "1 2", "--trace", "--format", "svg")
+    assert (code, out) == quiet[:2]
+    assert err == (
+        "warning: the trace draws 2 panels of 5 points, above the trace ceiling "
+        "9 points; this may take a while and a lot of memory\n"
+    )
+    assert cli("render", "1 1", "--trace", "--format", "svg")[2] == ""
+
+
+def test_render_warns_on_none_of_the_benchmark_renders(cli, tmp_path):
+    """The roundtrip workload traces half-stretched members at n = 100 and
+    120 and draws members at n = 300, whatever its seed."""
+    width = len(" ".join(map(str, range(1, 602))))
+    assert (300 + 1) * width <= ncpseq.cli.ASCII_CHAR_CEILING
+    assert (120 // 2 + 1) * 241 <= ncpseq.cli.TRACE_POINT_CEILING
+    rng = random.Random(12)
+    for n in (100, 120):
+        text = " ".join(map(str, half_stretched_member(rng, n)))
+        target = tmp_path / "trace.svg"
+        assert cli("render", "--trace", "--format", "svg", "--out", str(target), text) == (
+            0,
+            "",
+            "",
+        )
+    for text in (" ".join(map(str, random_member(rng, 300))), " ".join(map(str, range(1, 301)))):
+        code, out, err = cli("render", text)
+        assert (code, err) == (0, "")
 
 
 def test_render_reads_stdin(cli):

@@ -1,11 +1,19 @@
-"""Text and SVG diagram output: goldens, determinism, structure."""
+"""Text and SVG diagram output: goldens, determinism, structure, layout."""
 
+import random
+import time
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from ncpseq import (
     ArcDiagram,
+    CatSeq,
+    Partition,
+    arc_nesting_depths,
     enumerate_special,
     initial_diagram,
+    inverse,
     inverse_trace,
     parse_partition,
     parse_sequence,
@@ -13,6 +21,15 @@ from ncpseq import (
     render_svg,
     render_trace,
     to_arcs,
+)
+from ncpseq.render import _arc_rows, ascii_shape
+
+from bruteforce import (
+    all_set_partitions,
+    crossing_exists,
+    nesting_depths_pairwise,
+    random_member,
+    rows_first_fit,
 )
 
 PART_13 = "1,13|2,4,6,12|3|5|7,11|8,10|9"
@@ -136,3 +153,54 @@ def test_trace_svg_well_formed_and_deterministic():
     text = render_trace(trace)
     ET.fromstring(text)
     assert text == render_trace(trace)
+
+
+def _assert_layout_is_the_pairwise_one(d):
+    assert arc_nesting_depths(d) == nesting_depths_pairwise(d.arcs)
+    rows = _arc_rows(d)
+    assert rows == [sorted(row) for row in rows_first_fit(d.arcs)]
+    text = render_ascii(d)
+    assert ascii_shape(d) == (len(rows) + 1, len(text.splitlines()[-1]))
+
+
+def test_linear_layout_is_the_pairwise_one_on_every_small_diagram():
+    """Every non-crossing partition of [m], m <= 8, and every special
+    partition with n <= 7: the diagrams of every member of S_n."""
+    for m in range(1, 9):
+        for blocks in all_set_partitions(m):
+            if not crossing_exists(blocks):
+                _assert_layout_is_the_pairwise_one(to_arcs(Partition(m, blocks)))
+    for n in range(8):
+        for p in enumerate_special(n):
+            _assert_layout_is_the_pairwise_one(to_arcs(p))
+
+
+@pytest.mark.parametrize("n", (50, 200, 800))
+def test_linear_layout_is_the_pairwise_one_on_seeded_members(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        _assert_layout_is_the_pairwise_one(to_arcs(inverse(CatSeq(tuple(random_member(rng, n))))))
+
+
+def test_a_depth_has_at_most_three_rows():
+    """Arcs of one depth touch at most two others, one at each end."""
+    rng = random.Random(3)
+    for n in (50, 200, 800):
+        d = to_arcs(inverse(CatSeq(tuple(random_member(rng, n)))))
+        depths = arc_nesting_depths(d)
+        per_depth = {}
+        for row in _arc_rows(d):
+            per_depth[depths[row[0]]] = per_depth.get(depths[row[0]], 0) + 1
+        assert max(per_depth.values()) <= 3
+
+
+def test_ascii_of_a_20000_entry_member_takes_well_under_the_quadratic_time():
+    """The pairwise layout took 89 s on this member; the linear one about 0.2 s."""
+    d = to_arcs(inverse(parse_sequence("1 2 " * 10_000)))
+    started = time.perf_counter()
+    text = render_ascii(d)
+    elapsed = time.perf_counter() - started
+    lines = text.splitlines()
+    assert lines[-1] == " ".join(map(str, range(1, 40_002)))
+    assert text.count("/") == text.count("\\") == 20_000
+    assert elapsed < 5.0
