@@ -2,8 +2,8 @@
 
 The walks and counts are self-contained on purpose.  They never touch
 the bijection, so their output can referee it.  The walks are
-generators that keep their own state per element or entry, so how deep
-they go is not bounded by the recursion limit.
+generators that keep their own state per element or entry in flat
+arrays, so how deep they go is not bounded by the recursion limit.
 
 Partition walk: scan elements 1..m with a stack of open blocks.
 Element e either opens a new block or joins an open block strictly
@@ -40,10 +40,20 @@ which is the order of their least elements.
 Sequence walk: s is in S_n iff the intervals (i - s_i, i] nest
 (sequences.sequence_violation), which a left-to-right scan checks with
 a stack of end points: entry i closes onto one of them, pops those
-above it and pushes i.  The walk makes each such choice in turn.
-Closing onto end point p gives s_i = i - p, so trying the end points
-from the top down tries s_i in increasing order, and S_n comes out in
-lexicographic order.
+above it and pushes i.  The walk makes each such choice in turn, so
+every sequence it lists passes that scan, and distinct choice runs
+give distinct sequences.  Closing onto end point p gives s_i = i - p,
+so trying the end points from the top down tries s_i in increasing
+order, and S_n comes out in lexicographic order.
+
+It keeps one end-point stack in a flat array, and per entry i the
+stack height before i, the depth of the end point i closes onto, and
+the end point that pushing i overwrote, which backtracking restores in
+O(1); no step copies the stack.  A per-depth fold builds each member
+as it goes: prefix[i + 1] = prefix[i] + labels[s_i], so each node of
+the walk costs one concatenation.  By default the labels are 1-tuples
+and a member is its tuple of entries; a listing of texts passes each
+value's text, so this module knows no text format.
 
 Counts are dynamic programs that never walk, and never recurse:
 
@@ -72,6 +82,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 PartitionBlocks = tuple[tuple[int, ...], ...]
 T = TypeVar("T")  # what the partition walk stores for each element
 L = TypeVar("L")  # what it freezes each leaf into
+S = TypeVar("S", tuple, str)  # what the sequence walk folds each member into
 
 
 def _freeze_blocks(members: list[list[int]]) -> PartitionBlocks:
@@ -235,11 +246,18 @@ def ssp_min_blocks(m: int) -> int:
     return best
 
 
-def catalan_sequences(n: int) -> list[tuple[int, ...]]:
-    """All of S_n as tuples, in lexicographic order."""
+def catalan_sequences(n: int, labels: Sequence[S] | None = None) -> list[S]:
+    """All of S_n in lexicographic order, each member as a fold of labels.
+
+    Member s_1..s_n comes out as labels[0] + labels[s_1] + ... +
+    labels[s_n]: labels[0] starts every member (it is the empty one)
+    and labels[v], 1 <= v <= n, stands for an entry v.  By default
+    labels[0] is () and labels[v] is (v,), so each member is its tuple
+    of entries.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return list(_sequence_walk(n))
+    return list(_sequence_walk(n, labels))
 
 
 def count_catalan_sequences(n: int) -> int:
@@ -257,22 +275,42 @@ def count_catalan_sequences(n: int) -> int:
     return sum(runs)
 
 
-def _sequence_walk(n: int) -> Iterator[tuple[int, ...]]:
-    values = [0] * n
-    # frames[i]: the end points left by entries 1..i, and how many of
-    # them entry i + 1 has yet to close onto, counted from the bottom.
-    frames: list[list] = [[(0,), 1]]
-    while frames:
-        i = len(frames) - 1
-        ends, left = frames[-1]
+def _sequence_walk(n: int, labels: Sequence[S] | None = None) -> Iterator[S]:
+    if labels is None:
+        labels = [()] + [(v,) for v in range(1, n + 1)]
+    if n == 0:
+        yield labels[0]
+        return
+    # ends[d]: the end point at depth d of the stack (ends[0] = 0),
+    # below the height of the entry being chosen.
+    ends = [0] * (n + 1)
+    # Per entry i: the stack height before i, the depth of the end
+    # point that i closes onto (height[i] while none is taken yet), the
+    # end point that pushing i overwrote, and the fold of the labels of
+    # entries 1..i-1.
+    height = [1] * (n + 1)
+    close = [1] * (n + 1)
+    saved = [0] * (n + 1)
+    prefix = [labels[0]] * (n + 1)
+    i = 1
+    while i:
         if i == n:
-            yield tuple(values)
-            frames.pop()
-        elif left:
-            left -= 1
-            frames[-1][1] = left
-            kept = ends[: left + 1]
-            values[i] = i + 1 - kept[-1]
-            frames.append([kept + (i + 1,), left + 2])
-        else:
-            frames.pop()
+            # Nothing reads the stack after the last entry, so its
+            # choices are emitted at once, with nothing to undo.
+            fold = prefix[n]
+            yield from [fold + labels[n - end] for end in reversed(ends[: height[n]])]
+            i -= 1
+            continue
+        c = close[i]
+        if c < height[i]:
+            ends[c + 1] = saved[i]
+        c -= 1
+        if c < 0:
+            i -= 1
+            continue
+        close[i] = c
+        prefix[i + 1] = prefix[i] + labels[i - ends[c]]
+        saved[i] = ends[c + 1]
+        ends[c + 1] = i
+        i += 1
+        height[i] = close[i] = c + 2

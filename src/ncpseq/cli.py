@@ -4,7 +4,9 @@ Exit codes: 0 on success, 1 when well-formed input fails a membership
 condition or a claim check fails, 2 on unparseable input or bad usage,
 3 when writing the output fails: the output file or stdout cannot be
 written (one "io error:" line on stderr), or the reader of stdout
-closes it early (then nothing is printed on stderr).
+closes it early (then nothing is printed on stderr).  Running out of
+memory is a request too large to serve: exit 2 with one "memory error:"
+line on stderr, whatever was written to stdout before it.
 
 map and invert read one object from argv or, when omitted, convert
 every line of stdin, so enumerate can pipe straight through them.
@@ -401,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except MemoryError:
+        print("memory error: this request needs more memory than there is", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader has gone; there is no one to tell.
         _drop_stdout()

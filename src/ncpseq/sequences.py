@@ -9,9 +9,13 @@ and |S_n| is the n-th Catalan number.  Condition (ii) says that the
 intervals (i - s_i, i] nest: each one either holds an earlier one whole
 or misses it.  So in a member the maximal intervals among the first
 i - 1 tile (0, i - 1], and i - s_i must be one of their end points;
-membership is one left-to-right pass over a stack of those end points,
-and generate_all lists S_n in lexicographic order by walking the same
-stack (see ncpseq._kernels_py).
+membership is one left-to-right pass over a stack of those end points.
+generate_all lists S_n in lexicographic order by walking the same
+stack (see ncpseq._kernels_py): each entry closes onto one of its end
+points, so the walk proves each member as it builds it, and nothing is
+checked again per member.  Its text listing has the walk fold the text
+" v" of each entry v and drops the one leading blank of each member,
+so no tuple is built or formatted.
 
 GoverningState builds members the other way, by fixing positions n,
 n-1, .., 1 in that order, and serves as an independent reference for
@@ -28,13 +32,15 @@ Text form: space-separated ASCII decimal integers; the empty string is the
 unique n = 0 sequence.  parse_sequence reads the text in one step, or
 token by token when that fails, to name the first bad token; membership
 is then checked once, by CatSeq.  CatSeq._trusted wraps entries with no
-check, for code that has proved them a member: forward's images.
+check, for code that has proved them a member: forward's images and
+the walk's listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from ncpseq._backend import kernels
 from ncpseq.errors import ParseError, ValidationError
@@ -154,9 +160,8 @@ def format_sequence(s: CatSeq) -> str:
     return _format_entries(s.entries)
 
 
-def _format_entries(entries: Sequence[int], text_of: Callable[[int], str] = str) -> str:
-    # A listing passes a lookup in a table of str(x), which is faster than str.
-    return " ".join(map(text_of, entries))
+def _format_entries(entries: Sequence[int]) -> str:
+    return " ".join(map(str, entries))
 
 
 @dataclass(frozen=True)
@@ -256,21 +261,21 @@ def bounds_from_scratch(values: Sequence[int], cursor: int) -> tuple[int, ...]:
 def generate_all(n: int, *, as_text: bool = False) -> Iterator[CatSeq] | Iterator[str]:
     """Yield every member of S_n, in lexicographic order of the entries.
 
-    With as_text, yield the canonical text of each member instead.  Each
-    one is checked as CatSeq checks it, but no CatSeq is built.
+    With as_text, yield the canonical text of each member instead, with
+    no CatSeq built.  Nothing is checked per member: the walk closes
+    each entry onto an end point of the nesting stack that
+    sequence_violation scans, so it lists members only, each once (see
+    ncpseq._kernels_py).
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
     if not as_text:
         for entries in kernels.catalan_sequences(n):
-            yield CatSeq(entries)
+            yield CatSeq._trusted(entries)
         return
-    text_of = [str(v) for v in range(n + 1)].__getitem__
-    for entries in kernels.catalan_sequences(n):
-        reason = sequence_violation(entries)
-        if reason is not None:
-            raise ValidationError(reason)
-        yield _format_entries(entries, text_of)
+    labels = [""] + [f" {v}" for v in range(1, n + 1)]
+    # Each text comes out as " s_1 ... s_n": drop its leading blank.
+    yield from map(itemgetter(slice(1, None)), kernels.catalan_sequences(n, labels))
 
 
 def count_all(n: int) -> int:
