@@ -10,7 +10,6 @@ correspondence.  BACKEND names the enumeration kernel in use.
 from ncpseq._backend import BACKEND
 from ncpseq.bijection import (
     ConstructionTrace,
-    DiffSeq,
     TraceStep,
     difference_sequence,
     forward,
@@ -39,7 +38,6 @@ from ncpseq.partitions import (
     ArcDiagram,
     Block,
     Partition,
-    PieceList,
     arc_nesting_depths,
     decompose_pieces,
     format_partition,
@@ -60,7 +58,6 @@ from ncpseq.sequences import (
     count_all,
     format_sequence,
     generate_all,
-    governing_bounds,
     parse_sequence,
     sequence_violation,
     set_value,
@@ -80,11 +77,9 @@ __all__ = [
     "CheckReport",
     "Composition",
     "ConstructionTrace",
-    "DiffSeq",
     "GoverningState",
     "ParseError",
     "Partition",
-    "PieceList",
     "StretchError",
     "TraceStep",
     "ValidationError",
@@ -107,7 +102,6 @@ __all__ = [
     "forward",
     "from_arcs",
     "generate_all",
-    "governing_bounds",
     "initial_diagram",
     "inverse",
     "inverse_trace",

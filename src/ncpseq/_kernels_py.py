@@ -72,6 +72,9 @@ Counts are dynamic programs that never walk, and never recurse:
   leaving 1..k + 1 end points above 0, and distinct choices give
   distinct sequences; the count of S_n is the number of such runs of
   length n from k = 0.
+
+The smallest block count of a semi-special partition of [m] is the
+least block target whose partition count is nonzero.
 """
 
 from __future__ import annotations
@@ -223,27 +226,12 @@ def _count_partition_leaves(m: int, target: int | None) -> int:
 def ssp_min_blocks(m: int) -> int:
     """Smallest block count over all semi-special partitions of [m].
 
-    Branch-and-bound over the same walk: block count only grows, so a
-    branch dies as soon as it matches the best completed count.  Joins
-    are tried before opening a block to reach small counts early.
+    The least block target whose walk has a leaf, by the leaf count;
+    all singletons is always semi-special, so the target m has one.
     """
     if m < 1:
         raise ValueError("ground size must be at least 1")
-    best = m  # all singletons is always semi-special
-
-    def rec(e: int, open_count: int, created: int) -> None:
-        nonlocal best
-        if created >= best:
-            return
-        if e > m:
-            best = created
-            return
-        for keep in range(open_count - 1, 0, -1):
-            rec(e + 1, keep, created)
-        rec(e + 1, open_count + 1, created + 1)
-
-    rec(1, 0, 0)
-    return best
+    return next(c for c in range(1, m + 1) if _count_partition_leaves(m, c))
 
 
 def catalan_sequences(n: int, labels: Sequence[S] | None = None) -> list[S]:

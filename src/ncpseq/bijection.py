@@ -32,9 +32,11 @@ Where the checks run:
   arcs a step reaches lie inside the chain of span-2 arcs that every
   earlier step left from arc i on (a step fails exactly when v exceeds
   the governing bound; see stretch_step).
-* stretch_step and inverse_trace take any diagram and width, so their
-  step checks its preconditions.  A valid diagram that meets them stays
-  valid, so their diagrams and final partition are not validated again.
+* inverse_trace takes a member of S_n too, and runs the same unchecked
+  steps as inverse; its diagrams are wrapped as built.
+* stretch_step takes any diagram and width, so it checks the step's
+  preconditions.  A valid diagram that meets them stays valid, so its
+  result is not validated again.
 """
 
 from __future__ import annotations
@@ -55,34 +57,8 @@ from ncpseq.partitions import (
 from ncpseq.sequences import CatSeq
 
 
-@dataclass(frozen=True)
-class DiffSeq:
-    """Gaps to the next block element, one per position of [2n+1]."""
-
-    diffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        diffs = tuple(self.diffs)
-        object.__setattr__(self, "diffs", diffs)
-        if len(diffs) % 2 == 0:
-            raise ValidationError("difference sequences have odd length 2n+1")
-        n = len(diffs) // 2
-        zeros = sum(1 for d in diffs if d == 0)
-        if zeros != n + 1:
-            raise ValidationError(f"{zeros} zeros where {n + 1} are required")
-        for i, d in enumerate(diffs, start=1):
-            if not isinstance(d, int) or isinstance(d, bool) or d < 0 or d % 2:
-                raise ValidationError(f"d_{i} = {d!r} is not an even gap")
-            if d and i + d > len(diffs):
-                raise ValidationError(f"d_{i} = {d} points past the ground set")
-
-
-def difference_sequence(p: Partition) -> DiffSeq:
-    """Distance from each element to the next member of its block."""
-    return DiffSeq(_gaps(p))
-
-
-def _gaps(p: Partition) -> tuple[int, ...]:
+def difference_sequence(p: Partition) -> tuple[int, ...]:
+    """Distance from each element to the next member of its block, 0 at its last."""
     reason = special_violation(p)
     if reason is not None:
         raise ValidationError(f"difference sequence needs a special partition ({reason})")
@@ -97,42 +73,16 @@ def _gaps(p: Partition) -> tuple[int, ...]:
 
 def forward(p: Partition) -> CatSeq:
     """Map a special partition of [2n+1] to its sequence in S_n."""
-    return CatSeq._trusted(tuple([d // 2 for d in reversed(_gaps(p)) if d]))
+    return CatSeq._trusted(tuple([d // 2 for d in reversed(difference_sequence(p)) if d]))
 
 
 def initial_diagram(n: int) -> ArcDiagram:
     """Chain diagram on 2n+1 points: arcs (1,3),(3,5),..,(2n-1,2n+1)."""
     if n < 0:
         raise ValidationError("n must be >= 0")
+    # Chained span-2 arcs on distinct points never cross, and come sorted.
     arcs = tuple((2 * i - 1, 2 * i + 1) for i in range(1, n + 1))
-    return ArcDiagram(2 * n + 1, arcs)
-
-
-def _stretch(left: list[int], right: list[int], i: int, v: int) -> None:
-    """Stretch arc i of the diagram held as endpoint lists, in place.
-
-    left and right hold the arcs of a valid diagram sorted by left end.
-    When the shape checks pass, the result is again a valid diagram in
-    that order: the points the stretch touches belong to no other arc.
-    """
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise StretchError(f"stretch width {v!r} is not a positive integer")
-    if not 1 <= i <= len(left):
-        raise StretchError(f"no arc {i} in a diagram with {len(left)} arcs")
-    if v == 1:
-        return
-    at = i - 1
-    p = left[at]
-    if right[at] != p + 2:
-        raise StretchError(f"arc {i} spans {(p, right[at])}, expected ({p},{p + 2})")
-    if at + v > len(left):
-        raise StretchError(f"only {len(left) - i} arcs follow arc {i}, need {v - 1}")
-    for k in range(1, v):
-        q = p + 2 * k
-        if left[at + k] != q or right[at + k] != q + 2:
-            got = (left[at + k], right[at + k])
-            raise StretchError(f"arc {i + k} is {got}, expected {(q, q + 2)}")
-    _slide(left, right, at, v)
+    return ArcDiagram._trusted(2 * n + 1, arcs)
 
 
 def _slide(left: list[int], right: list[int], at: int, v: int) -> None:
@@ -155,18 +105,35 @@ def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
     inverse construction that happens exactly when v exceeds the
     governing bound for the step.
     """
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise StretchError(f"stretch width {v!r} is not a positive integer")
     left = [l for l, _ in d.arcs]
     right = [r for _, r in d.arcs]
-    _stretch(left, right, i, v)
+    if not 1 <= i <= len(left):
+        raise StretchError(f"no arc {i} in a diagram with {len(left)} arcs")
     if v == 1:
         return d
+    at = i - 1
+    p = left[at]
+    if right[at] != p + 2:
+        raise StretchError(f"arc {i} spans {(p, right[at])}, expected ({p},{p + 2})")
+    if at + v > len(left):
+        raise StretchError(f"only {len(left) - i} arcs follow arc {i}, need {v - 1}")
+    for k in range(1, v):
+        q = p + 2 * k
+        if left[at + k] != q or right[at + k] != q + 2:
+            got = (left[at + k], right[at + k])
+            raise StretchError(f"arc {i + k} is {got}, expected {(q, q + 2)}")
+    # The points the stretch touches belong to no other arc, so the
+    # result is again a valid diagram, sorted by left end.
+    _slide(left, right, at, v)
     return ArcDiagram._trusted(d.point_count, _restretched(d.arcs, left, right, i, v))
 
 
 def _restretched(
     arcs: tuple[Arc, ...], left: list[int], right: list[int], i: int, v: int
 ) -> tuple[Arc, ...]:
-    """arcs after _stretch(left, right, i, v), sharing the arcs it left alone."""
+    """arcs after _slide(left, right, i - 1, v), sharing the arcs it left alone."""
     out = list(arcs)
     out[i - 1 : i - 1 + v] = zip(left[i - 1 : i - 1 + v], right[i - 1 : i - 1 + v])
     return tuple(out)
@@ -247,7 +214,8 @@ def inverse_trace(s: CatSeq) -> ConstructionTrace:
     steps = []
     for i in range(1, n + 1):
         v = s.entries[n - i]
-        _stretch(left, right, i, v)
+        if v > 1:
+            _slide(left, right, i - 1, v)
         p = left[i - 1]
         after = (p, right[i - 1])
         if v == 1:

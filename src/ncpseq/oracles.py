@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
@@ -84,8 +85,9 @@ def count_ssp(m: int) -> int:
 def min_ssp_blocks(m: int) -> int:
     """Minimum block count over all semi-special partitions of [m].
 
-    Found by branch-and-bound over the enumeration walk; the answer is
-    floor(m/2) + 1, and the checks compare against exactly that.
+    Found as the least block target that the walk's leaf count reaches;
+    the answer is floor(m/2) + 1, and the checks compare against exactly
+    that.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
@@ -116,20 +118,24 @@ class Composition:
 
 
 def compositions(n: int) -> Iterator[Composition]:
-    """All 2^(n-1) compositions of n, first parts ascending."""
+    """All 2^(n-1) compositions of n, in lexicographic order of the parts.
+
+    Each is a choice, after each of the positions 1..n-1, to cut there
+    or not; cutting first gives the smaller part first.
+    """
     if n < 1:
         raise ValidationError("compositions need n >= 1")
 
-    def rec(remaining: int, prefix: list[int]) -> Iterator[Composition]:
-        if remaining == 0:
-            yield Composition(tuple(prefix))
-            return
-        for part in range(1, remaining + 1):
-            prefix.append(part)
-            yield from rec(remaining - part, prefix)
-            prefix.pop()
+    def parts(cuts: tuple[bool, ...]) -> tuple[int, ...]:
+        out = [1]
+        for cut in cuts:
+            if cut:
+                out.append(1)
+            else:
+                out[-1] += 1
+        return tuple(out)
 
-    return rec(n, [])
+    return (Composition(parts(cuts)) for cuts in product((True, False), repeat=n - 1))
 
 
 def check_floor_sum(c: Composition) -> bool:
@@ -165,6 +171,26 @@ class CheckReport:
         out["count_checked"] = self.count_checked
         out["elapsed_ms"] = self.elapsed_ms
         return out
+
+
+def _report(
+    claim: str, range_checked: str, outcomes: Iterable[tuple[int, str | None]]
+) -> CheckReport:
+    """Time the outcomes, each (objects checked, failure or None), into one report.
+
+    The counts add up and the first failure is kept.  Every outcome is
+    drawn, so a check that stops at its first failure ends its outcomes
+    there itself.
+    """
+    started = time.perf_counter()
+    checked = 0
+    failure = None
+    for count, reason in outcomes:
+        checked += count
+        if failure is None:
+            failure = reason
+    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
+    return CheckReport(claim, range_checked, failure is None, checked, elapsed, failure)
 
 
 def _structure_violation(p: Partition, top: int) -> str | None:
@@ -213,21 +239,16 @@ def check_special_structure(
     no partition built: the parent passed the special check first, so
     the count is all that is left to decide (see _structure_violation).
     """
-    started = time.perf_counter()
-    if partitions is None:
-        partitions = enumerate_special(n)
-    checked = 0
-    failure = None
-    for p in partitions:
-        checked += 1
-        reason = _structure_violation(p, 2 * n + 1)
-        if reason is not None:
-            failure = f"{format_partition(p)}: {reason}"
-            break
-    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(
-        "special-structure", f"n={n}", failure is None, checked, elapsed, failure
-    )
+
+    def outcomes() -> Iterator[tuple[int, str | None]]:
+        for p in enumerate_special(n) if partitions is None else partitions:
+            reason = _structure_violation(p, 2 * n + 1)
+            if reason is not None:
+                yield 1, f"{format_partition(p)}: {reason}"
+                return
+            yield 1, None
+
+    return _report("special-structure", f"n={n}", outcomes())
 
 
 def check_max_ground(b: int) -> bool:

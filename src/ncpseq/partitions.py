@@ -296,36 +296,7 @@ def is_special(p: Partition) -> bool:
     return special_violation(p) is None
 
 
-@dataclass(frozen=True)
-class PieceList:
-    """Blocks of a partition grouped into contiguous-interval pieces."""
-
-    pieces: tuple[tuple[Block, ...], ...]
-
-    def __post_init__(self) -> None:
-        norm = tuple(tuple(tuple(b) for b in piece) for piece in self.pieces)
-        object.__setattr__(self, "pieces", norm)
-        pos = 1
-        for piece in norm:
-            if not piece or piece[0][0] != pos:
-                raise ValidationError("piece supports must chain contiguously from 1")
-            pos = max(b[-1] for b in piece) + 1
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def __iter__(self):
-        return iter(self.pieces)
-
-    @property
-    def supports(self) -> tuple[tuple[int, int], ...]:
-        """The (min, max) interval covered by each piece, in order."""
-        return tuple(
-            (piece[0][0], max(b[-1] for b in piece)) for piece in self.pieces
-        )
-
-
-def decompose_pieces(p: Partition) -> PieceList:
+def decompose_pieces(p: Partition) -> tuple[tuple[Block, ...], ...]:
     """Split p into pieces: minimal block runs covering contiguous intervals.
 
     Scanning blocks by minimum element, a piece opens at the first
@@ -338,11 +309,7 @@ def decompose_pieces(p: Partition) -> PieceList:
     """
     if not is_noncrossing(p):
         raise ValidationError("pieces are only defined for non-crossing partitions")
-    return PieceList(_pieces(p.blocks))
-
-
-def _pieces(blocks: tuple[Block, ...]) -> tuple[tuple[Block, ...], ...]:
-    """Unchecked core of decompose_pieces: blocks must be non-crossing."""
+    blocks = p.blocks
     pieces = []
     i = 0
     while i < len(blocks):

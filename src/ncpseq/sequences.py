@@ -209,11 +209,6 @@ class GoverningState:
         return CatSeq(self.values)
 
 
-def governing_bounds(state: GoverningState) -> tuple[int, ...]:
-    """The bounds sequence g; at the cursor it caps the next choice."""
-    return state.bounds
-
-
 def set_value(state: GoverningState, m: int) -> GoverningState:
     """Fix the cursor position to m and tighten the bounds below it.
 

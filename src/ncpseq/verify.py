@@ -1,7 +1,9 @@
 """Batch verification suites and the aggregate report.
 
 Each suite sweeps one claim across a size range and returns a
-CheckReport; run_verify bundles the five standard suites into a single
+CheckReport: it yields how many objects each size or object checked and
+the failure found there, if any, and oracles._report times them into
+the report.  run_verify bundles the five standard suites into a single
 JSON-ready dictionary, and CLAIM_SUITES maps each claim name to its
 suite, for running one claim alone.
 
@@ -21,14 +23,14 @@ per distinct sequence.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ncpseq import bijection
 from ncpseq.errors import ValidationError
 from ncpseq.oracles import (
     CheckReport,
+    _report,
     catalan,
     check_floor_sum,
     check_max_ground,
@@ -64,6 +66,11 @@ def size_fixtures(n_max: int) -> tuple[SizeFixture, ...]:
     )
 
 
+def _sizes(n_max: int, fixtures: Sequence[SizeFixture] | None) -> Iterator[SizeFixture]:
+    """The fixtures given, or every size's, built when the first is drawn (so timed)."""
+    yield from size_fixtures(n_max) if fixtures is None else fixtures
+
+
 def cardinality_suite(
     n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
 ) -> CheckReport:
@@ -72,22 +79,16 @@ def cardinality_suite(
     A partition counts only if it is special, so an enumerator that
     emits anything else fails the claim.
     """
-    started = time.perf_counter()
-    if fixtures is None:
-        fixtures = size_fixtures(n_max)
-    checked = 0
-    failure = None
-    for fx in fixtures:
+
+    def one(fx: SizeFixture) -> tuple[int, str | None]:
         parts = sum(1 for p in fx.partitions if special_violation(p) is None)
         seqs = len(fx.sequences)
         want = catalan(fx.n)
-        checked += parts + seqs
-        if failure is None and not parts == seqs == want:
-            failure = f"n={fx.n}: {parts} partitions, {seqs} sequences, catalan {want}"
-    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(
-        "cardinality", f"n=0..{n_max}", failure is None, checked, elapsed, failure
-    )
+        if parts == seqs == want:
+            return parts + seqs, None
+        return parts + seqs, f"n={fx.n}: {parts} partitions, {seqs} sequences, catalan {want}"
+
+    return _report("cardinality", f"n=0..{n_max}", map(one, _sizes(n_max, fixtures)))
 
 
 def round_trip_suite(
@@ -97,11 +98,9 @@ def round_trip_suite(
 
     forward runs once per partition and inverse once per distinct
     sequence: a sequence already reached as forward(p) with
-    inverse(forward(p)) == p passes without being mapped again.
+    inverse(forward(p)) == p passes without being mapped again.  Each
+    size stops at its first failure.
     """
-    started = time.perf_counter()
-    if fixtures is None:
-        fixtures = size_fixtures(n_max)
 
     def one(fx: SizeFixture) -> tuple[int, str | None]:
         # Looked up through the module so a deliberately broken forward
@@ -139,90 +138,47 @@ def round_trip_suite(
                 )
         return checked, None
 
-    checked = 0
-    failure = None
-    for count, reason in map(one, fixtures):
-        checked += count
-        if failure is None and reason is not None:
-            failure = reason
-    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(
-        "round-trip", f"n=0..{n_max}", failure is None, checked, elapsed, failure
-    )
+    return _report("round-trip", f"n=0..{n_max}", map(one, _sizes(n_max, fixtures)))
 
 
 def special_structure_suite(
     n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
 ) -> CheckReport:
     """Structural facts about special partitions for n = 0..n_max."""
-    started = time.perf_counter()
-    checked = 0
-    failure = None
-    for n in range(n_max + 1):
-        parts = None if fixtures is None else fixtures[n].partitions
-        report = check_special_structure(n, partitions=parts)
-        checked += report.count_checked
-        if failure is None and not report.passed:
-            failure = report.counterexample
-    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(
-        "special-structure", f"n=0..{n_max}", failure is None, checked, elapsed, failure
+    reports = (
+        check_special_structure(n, partitions=None if fixtures is None else fixtures[n].partitions)
+        for n in range(n_max + 1)
     )
+    outcomes = ((r.count_checked, r.counterexample) for r in reports)
+    return _report("special-structure", f"n=0..{n_max}", outcomes)
 
 
 def floor_sum_suite() -> CheckReport:
     """The floor inequality over every composition of n = 1..12."""
-    started = time.perf_counter()
-    checked = 0
-    failure = None
-    for n in range(1, FLOOR_SUM_N_MAX + 1):
-        for c in compositions(n):
-            checked += 1
-            if failure is None and not check_floor_sum(c):
-                failure = str(c)
-    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(
-        "floor-sum",
-        f"n=1..{FLOOR_SUM_N_MAX}",
-        failure is None,
-        checked,
-        elapsed,
-        failure,
+    outcomes = (
+        (1, None if check_floor_sum(c) else str(c))
+        for n in range(1, FLOOR_SUM_N_MAX + 1)
+        for c in compositions(n)
     )
+    return _report("floor-sum", f"n=1..{FLOOR_SUM_N_MAX}", outcomes)
 
 
 def min_blocks_suite(n_max: int) -> CheckReport:
     """Minimum SSP block count equals floor(m/2) + 1 for each ground size."""
-    started = time.perf_counter()
-    m_max = min(2 * n_max + 1, MIN_BLOCKS_M_CAP)
-    m_max = max(m_max, 1)
-    checked = 0
-    failure = None
-    for m in range(1, m_max + 1):
-        checked += 1
-        got = min_ssp_blocks(m)
-        if failure is None and got != m // 2 + 1:
-            failure = f"m={m}: minimum {got}, expected {m // 2 + 1}"
-    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(
-        "min-blocks", f"m=1..{m_max}", failure is None, checked, elapsed, failure
-    )
+    m_max = max(min(2 * n_max + 1, MIN_BLOCKS_M_CAP), 1)
+
+    def one(m: int) -> tuple[int, str | None]:
+        got, want = min_ssp_blocks(m), m // 2 + 1
+        return 1, None if got == want else f"m={m}: minimum {got}, expected {want}"
+
+    return _report("min-blocks", f"m=1..{m_max}", map(one, range(1, m_max + 1)))
 
 
 def max_ground_suite(n_max: int) -> CheckReport:
     """check_max_ground holds for b = 0..min(n_max, 6)."""
-    started = time.perf_counter()
     b_max = min(n_max, MAX_GROUND_B_CAP)
-    checked = 0
-    failure = None
-    for b in range(b_max + 1):
-        checked += 1
-        if failure is None and not check_max_ground(b):
-            failure = f"b={b}"
-    elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(
-        "max-ground", f"b=0..{b_max}", failure is None, checked, elapsed, failure
-    )
+    outcomes = ((1, None if check_max_ground(b) else f"b={b}") for b in range(b_max + 1))
+    return _report("max-ground", f"b=0..{b_max}", outcomes)
 
 
 # The claims whose suites sweep every object for n = 0..n_max, so that

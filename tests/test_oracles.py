@@ -258,10 +258,11 @@ def test_composition_type():
 
 def test_compositions_enumeration():
     assert [c.parts for c in compositions(3)] == [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    for n in range(1, 11):
+    for n in range(1, 13):
         parts = [c.parts for c in compositions(n)]
         assert len(parts) == len(set(parts)) == 2 ** (n - 1)
         assert all(sum(p) == n for p in parts)
+        assert parts == sorted(parts)
     with pytest.raises(ValidationError):
         list(compositions(0))
 
@@ -484,7 +485,8 @@ def test_every_special_partition_is_a_single_piece():
     checked = 0
     for n in range(10):
         for p in enumerate_special(n):
-            assert decompose_pieces(p).supports == ((1, 2 * n + 1),), format_partition(p)
+            supports = [(piece[0][0], max(b[-1] for b in piece)) for piece in decompose_pieces(p)]
+            assert supports == [(1, 2 * n + 1)], format_partition(p)
             checked += 1
     assert checked == sum(catalan(n) for n in range(10))
 

@@ -17,7 +17,6 @@ from ncpseq import (
     count_all,
     format_sequence,
     generate_all,
-    governing_bounds,
     parse_sequence,
     sequence_violation,
     set_value,
@@ -136,7 +135,7 @@ def sequence_texts(draw):
     n = draw(st.integers(0, 12))
     state = GoverningState.initial(n)
     while not state.is_complete:
-        state = set_value(state, draw(st.integers(1, governing_bounds(state)[state.cursor - 1])))
+        state = set_value(state, draw(st.integers(1, state.bounds[state.cursor - 1])))
     entries = list(state.values)
     if entries and draw(st.booleans()):
         entries[draw(st.integers(0, n - 1))] = draw(st.integers(0, n + 1))
@@ -200,7 +199,7 @@ def test_violation_of_a_long_member_and_a_late_near_miss():
     rng = random.Random(5)
     state = set_value(set_value(GoverningState.initial(800), 800), 2)
     while not state.is_complete:
-        state = set_value(state, rng.randint(1, governing_bounds(state)[state.cursor - 1]))
+        state = set_value(state, rng.randint(1, state.bounds[state.cursor - 1]))
     member = state.values
     assert sequence_violation(member) is None
     assert _scan_violation(member) is None
@@ -243,7 +242,7 @@ def test_generate_all_order_matches_state_machine():
             if state.is_complete:
                 out.append(state.sequence().entries)
                 return
-            for m in range(1, governing_bounds(state)[state.cursor - 1] + 1):
+            for m in range(1, state.bounds[state.cursor - 1] + 1):
                 rec(set_value(state, m))
 
         rec(GoverningState.initial(n))
@@ -255,7 +254,7 @@ def test_generate_all_order_matches_state_machine():
 
 def test_initial_state_shape():
     st0 = GoverningState.initial(8)
-    assert governing_bounds(st0) == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert st0.bounds == (1, 2, 3, 4, 5, 6, 7, 8)
     assert st0.values == (1,) * 8
     assert not st0.is_complete
     with pytest.raises(ValidationError):
@@ -264,9 +263,9 @@ def test_initial_state_shape():
 
 def test_bounds_after_first_choices():
     st1 = set_value(GoverningState.initial(8), 4)
-    assert governing_bounds(st1) == (1, 2, 3, 4, 1, 2, 3, 4)
+    assert st1.bounds == (1, 2, 3, 4, 1, 2, 3, 4)
     st2 = set_value(st1, 1)
-    assert governing_bounds(st2) == (1, 2, 3, 4, 1, 2, 1, 4)
+    assert st2.bounds == (1, 2, 3, 4, 1, 2, 1, 4)
 
 
 def test_replay_of_worked_choice_run():
@@ -312,7 +311,7 @@ def test_incremental_bounds_match_scratch_formula(n, data):
     state = GoverningState.initial(n)
     assert bounds_from_scratch(state.values, state.cursor) == state.bounds
     while not state.is_complete:
-        limit = governing_bounds(state)[state.cursor - 1]
+        limit = state.bounds[state.cursor - 1]
         state = set_value(state, data.draw(st.integers(1, limit)))
         assert bounds_from_scratch(state.values, state.cursor) == state.bounds
 
@@ -324,10 +323,10 @@ def test_any_reachable_state_completes_validly(n, data):
     state = GoverningState.initial(n)
     steps = data.draw(st.integers(0, n))
     for _ in range(steps):
-        limit = governing_bounds(state)[state.cursor - 1]
+        limit = state.bounds[state.cursor - 1]
         state = set_value(state, data.draw(st.integers(1, limit)))
     while not state.is_complete:
-        state = set_value(state, governing_bounds(state)[state.cursor - 1])
+        state = set_value(state, state.bounds[state.cursor - 1])
     assert validate_sequence(state.sequence().entries)
 
 
