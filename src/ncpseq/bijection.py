@@ -50,6 +50,7 @@ from ncpseq.partitions import (
     ArcDiagram,
     Partition,
     _arc_chains,
+    _successors,
     format_partition,
     from_arcs,
     special_violation,
@@ -62,13 +63,7 @@ def difference_sequence(p: Partition) -> tuple[int, ...]:
     reason = special_violation(p)
     if reason is not None:
         raise ValidationError(f"difference sequence needs a special partition ({reason})")
-    diffs = [0] * p.ground_size
-    for block in p.blocks:
-        x = block[0]
-        for y in block[1:]:
-            diffs[x - 1] = y - x
-            x = y
-    return tuple(diffs)
+    return tuple([y - x if y else 0 for x, y in enumerate(_successors(p))][1:])
 
 
 def forward(p: Partition) -> CatSeq:

@@ -33,9 +33,13 @@ Where each check runs:
   fault.  Nothing is sized by the largest element before that test.
 * The special verdict is computed once per object: special_violation
   stores its answer on the instance, outside the dataclass fields, so
-  equality, hashing and repr do not see it.  Non-crossing and "no
-  consecutive pair" are one scan over a successor array; only when it
+  equality, hashing and repr do not see it.  Only when is_semi_special
   fails do the checks run one by one, to name the first that breaks.
+* Every reader of the arcs works on one successor array: succ[x] is the
+  next element of x's block, or 0 after its last, so succ[x] - x is the
+  paper's difference sequence wherever succ[x] is nonzero.  _nests is
+  the one crossing scan, over that array; is_noncrossing,
+  is_semi_special, to_arcs and the ArcDiagram constructor all run it.
 """
 
 from __future__ import annotations
@@ -63,10 +67,8 @@ class Partition:
     blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
-        blocks = self.blocks
-        if not _is_canonical(blocks):
-            blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            object.__setattr__(self, "blocks", blocks)
+        blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        object.__setattr__(self, "blocks", blocks)
         _check_partition(self.ground_size, blocks)
 
     @classmethod
@@ -87,27 +89,6 @@ class Partition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-
-def _is_canonical(blocks: object) -> bool:
-    """True when blocks is a tuple of ascending int tuples ordered by least element.
-
-    Such blocks are already in the form the constructor would sort them
-    into, so they are kept as given.
-    """
-    if type(blocks) is not tuple:
-        return False
-    least = 0
-    for block in blocks:
-        if type(block) is not tuple or not block or type(block[0]) is not int:
-            return False
-        if block[0] <= least:
-            return False
-        least = block[0]
-        for x, y in zip(block, block[1:]):
-            if not x < y:
-                return False
-    return True
 
 
 def _check_partition(m: int, blocks: tuple[Block, ...]) -> None:
@@ -182,13 +163,7 @@ def _read_blocks(text: str) -> list[Block]:
 
 def format_partition(p: Partition) -> str:
     """Canonical text: blocks joined by "|", elements by ",", no spaces."""
-    return _format_blocks(p.blocks)
-
-
-def _format_blocks(blocks: tuple[Block, ...]) -> str:
-    # Canonical text is defined here and in _join_block_texts, for
-    # blocks of ints and of texts; a test pins the two together.
-    return BLOCK_SEP.join([ELEMENT_SEP.join(map(str, b)) for b in blocks])
+    return _join_block_texts([map(str, b) for b in p.blocks])
 
 
 def _join_block_texts(blocks: Iterable[Iterable[str]]) -> str:
@@ -200,29 +175,42 @@ def _join_block_texts(blocks: Iterable[Iterable[str]]) -> str:
     return BLOCK_SEP.join(map(ELEMENT_SEP.join, blocks))
 
 
+def _successors(p: Partition) -> list[int]:
+    """succ[x] is the next element of x's block, or 0 after its last; succ[0] = 0."""
+    succ = [0] * (p.ground_size + 1)
+    for block in p.blocks:
+        x = block[0]
+        for y in block[1:]:
+            succ[x] = y
+            x = y
+    return succ
+
+
+def _nests(succ: list[int]) -> bool:
+    """True iff the arcs (x, succ[x]), for each nonzero succ[x] > x, do not cross.
+
+    Each point is the left end of one arc at most, by the form of
+    succ, and must be the right end of one arc at most.  Arcs do not
+    cross exactly when each arc is on top of the stack of open arcs when
+    its right end arrives: an arc left below stays on the stack to the
+    end.
+    """
+    open_ends = [-1]  # under the open arcs: an end that never arrives
+    for x, y in enumerate(succ):
+        if open_ends[-1] == x:
+            open_ends.pop()
+        if y:
+            open_ends.append(y)
+    return len(open_ends) == 1
+
+
 def is_noncrossing(p: Partition) -> bool:
     """True iff no a < b < c < d puts a, c in one block and b, d in another.
 
-    Single left-to-right scan: a block must sit on top of the stack of
-    open blocks whenever one of its later elements arrives, otherwise
-    some still-open block weaves through it.
+    That is, the arcs joining each element to its successor in its
+    block do not cross; _nests decides it in one scan.
     """
-    owner = [0] * (p.ground_size + 1)
-    for idx, block in enumerate(p.blocks):
-        for x in block:
-            owner[x] = idx
-    first = [b[0] for b in p.blocks]
-    last = [b[-1] for b in p.blocks]
-    stack: list[int] = []
-    for e in range(1, p.ground_size + 1):
-        b = owner[e]
-        if e == first[b]:
-            stack.append(b)
-        elif stack[-1] != b:
-            return False
-        if e == last[b]:
-            stack.pop()
-    return True
+    return _nests(_successors(p))
 
 
 def _adjacent_pair(p: Partition) -> tuple[int, int] | None:
@@ -236,28 +224,18 @@ def _adjacent_pair(p: Partition) -> tuple[int, int] | None:
 def is_semi_special(p: Partition) -> bool:
     """Non-crossing with no block containing both i and i+1.
 
-    One scan, over the successor of each element in its block (0
-    after a block's last element).  A partition is non-crossing exactly
-    when the arcs joining each element to its successor do not cross,
-    and they do not cross exactly when each arc is on top of the stack
-    of open arcs when its right end arrives: an arc left below stays on
-    the stack to the end.
+    Builds the successor array as is_noncrossing does, but stops at the
+    first successor that is x + 1; then _nests decides non-crossing.
     """
     succ = [0] * (p.ground_size + 1)
     for block in p.blocks:
         x = block[0]
         for y in block[1:]:
-            succ[x] = y
-            x = y
-    open_ends = [-1]  # under the open arcs: an end that never arrives
-    for x, y in enumerate(succ):
-        if open_ends[-1] == x:
-            open_ends.pop()
-        if y:
             if y == x + 1:
                 return False
-            open_ends.append(y)
-    return len(open_ends) == 1
+            succ[x] = y
+            x = y
+    return _nests(succ)
 
 
 def special_violation(p: Partition) -> str | None:
@@ -399,29 +377,22 @@ class ArcDiagram:
 def _check_arcs(m: int, arcs: tuple[Arc, ...]) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValidationError("point count must be a positive integer")
-    ends: dict[int, int] = {}
-    lefts: set[int] = set()
+    succ = [0] * (m + 1)
+    ended = [False] * (m + 1)
     for arc in arcs:
         if len(arc) != 2:
             raise ValidationError(f"arc {arc!r} is not a pair")
         l, r = arc
-        ok = isinstance(l, int) and isinstance(r, int)
-        if not ok or not 1 <= l < r <= m:
+        if not (type(l) is int and type(r) is int and 1 <= l < r <= m):
             raise ValidationError(f"arc ({l},{r}) outside 1 <= left < right <= {m}")
-        if l in lefts:
+        if succ[l]:
             raise ValidationError(f"two arcs share left endpoint {l}")
-        if r in ends:
+        if ended[r]:
             raise ValidationError(f"two arcs share right endpoint {r}")
-        lefts.add(l)
-        ends[r] = l
-    stack: list[int] = []
-    for x in range(1, m + 1):
-        if x in ends:
-            if stack[-1] != ends[x]:
-                raise ValidationError("crossing arcs")
-            stack.pop()
-        if x in lefts:
-            stack.append(x)
+        succ[l] = r
+        ended[r] = True
+    if not _nests(succ):
+        raise ValidationError("crossing arcs")
 
 
 def to_arcs(p: Partition) -> ArcDiagram:
@@ -430,12 +401,13 @@ def to_arcs(p: Partition) -> ArcDiagram:
     Raises ValidationError for crossing partitions, whose arcs would
     cross.
     """
-    if not is_noncrossing(p):
+    succ = _successors(p)
+    if not _nests(succ):
         raise ValidationError("cannot draw arcs for a crossing partition")
-    # Arcs of a non-crossing partition never cross, and each element has
-    # at most one successor and one predecessor in its block.
-    arcs = sorted((x, y) for b in p.blocks for x, y in zip(b, b[1:]))
-    return ArcDiagram._trusted(p.ground_size, tuple(arcs))
+    # Each element has at most one successor and one predecessor in its
+    # block, and the arcs nest; read in element order, they come sorted.
+    arcs = tuple([(x, y) for x, y in enumerate(succ) if y])
+    return ArcDiagram._trusted(p.ground_size, arcs)
 
 
 def from_arcs(d: ArcDiagram) -> Partition:

@@ -157,11 +157,7 @@ def _read_entries(text: str) -> tuple[int, ...]:
 
 def format_sequence(s: CatSeq) -> str:
     """Canonical text: entries joined by single spaces."""
-    return _format_entries(s.entries)
-
-
-def _format_entries(entries: Sequence[int]) -> str:
-    return " ".join(map(str, entries))
+    return " ".join(map(str, s.entries))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,16 @@ def test_difference_sequence_needs_special():
         difference_sequence(parse_partition("1,3|2,4|5"))
 
 
+def test_difference_sequence_equals_the_per_block_definition():
+    for n in range(9):
+        for p in enumerate_special(n):
+            want = [0] * p.ground_size
+            for block in p.blocks:
+                for x, y in zip(block, block[1:]):
+                    want[x - 1] = y - x
+            assert difference_sequence(p) == tuple(want)
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_diffseq_structure_over_all_special(n):
     for p in enumerate_special(n):

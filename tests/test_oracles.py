@@ -41,10 +41,8 @@ from ncpseq.verify import (
     special_structure_suite,
 )
 from ncpseq.partitions import (
-    _format_blocks,
     _gap_blocks,
     _gap_range,
-    _is_canonical,
     _join_block_texts,
     is_semi_special,
     parse_partition,
@@ -114,7 +112,8 @@ def test_special_walk_freezes_each_leaf_to_the_text_of_its_blocks(n):
     """The text leaves enumerate_special sorts are the tuple leaves formatted, in walk order."""
     labels = [str(x) for x in range(2 * n + 2)]
     texts = kernels.special_partitions(n, labels, _join_block_texts)
-    assert texts == [_format_blocks(blocks) for blocks in kernels.special_partitions(n)]
+    leaves = kernels.special_partitions(n)
+    assert texts == [format_partition(Partition._trusted(2 * n + 1, b)) for b in leaves]
     assert len(texts) == catalan(n)
 
 
@@ -191,7 +190,9 @@ def test_counters_consult_neither_catalan_nor_the_bijection(monkeypatch):
 def test_kernel_partitions_are_what_the_public_constructor_builds(listing, sizes, ground):
     for size in sizes:
         for p in listing(size):
-            assert _is_canonical(p.blocks)
+            blocks = p.blocks
+            assert type(blocks) is tuple and all(type(b) is tuple for b in blocks)
+            assert blocks == tuple(sorted(tuple(sorted(b)) for b in blocks))
             assert Partition(ground(size), p.blocks) == p
 
 

@@ -218,7 +218,7 @@ def test_partition_constructor_validates():
 
 def test_partition_keeps_canonical_blocks_and_checks_them():
     blocks = ((1, 5), (2, 4), (3,))
-    assert Partition(5, blocks).blocks is blocks
+    assert Partition(5, blocks).blocks == blocks
     assert Partition(5, [(5, 1), (3,), (4, 2)]).blocks == blocks
     assert Partition(5, ((2, 4), (1, 5), (3,))).blocks == blocks
     with pytest.raises(ValidationError, match="element 3 missing"):
@@ -397,6 +397,13 @@ def test_to_arcs_examples():
     assert to_arcs(parse_partition("1,3,5|2|4")).arcs == ((1, 3), (3, 5))
 
 
+def test_to_arcs_joins_the_consecutive_pairs_of_each_block():
+    for p in partitions_up_to(7):
+        if is_noncrossing(p):
+            pairs = [(x, y) for b in p.blocks for x, y in zip(b, b[1:])]
+            assert to_arcs(p).arcs == tuple(sorted(pairs))
+
+
 def test_to_arcs_rejects_crossing():
     with pytest.raises(ValidationError, match="crossing"):
         to_arcs(parse_partition("1,3|2,4|5"))
@@ -414,15 +421,59 @@ def test_from_arcs_examples():
     )
 
 
+# Each fault with the exact text the checked constructor gives it.
+ARC_FAULTS = [
+    (0, (), "point count must be a positive integer"),
+    (True, (), "point count must be a positive integer"),
+    (3, ((1, 2, 3),), "arc (1, 2, 3) is not a pair"),
+    (3, ((2, 4),), "arc (2,4) outside 1 <= left < right <= 3"),
+    (3, ((2, 2),), "arc (2,2) outside 1 <= left < right <= 3"),
+    (3, ((True, 3),), "arc (True,3) outside 1 <= left < right <= 3"),
+    (3, ((1, True),), "arc (1,True) outside 1 <= left < right <= 3"),
+    (5, ((1, 3), (1, 5)), "two arcs share left endpoint 1"),
+    (5, ((1, 4), (3, 4)), "two arcs share right endpoint 4"),
+    (4, ((1, 3), (2, 4)), "crossing arcs"),
+    (6, ((1, 4), (2, 3), (3, 6)), "crossing arcs"),
+]
+
+
 def test_arc_diagram_invariants():
-    with pytest.raises(ValidationError):
-        ArcDiagram(5, ((1, 3), (1, 5)))
-    with pytest.raises(ValidationError):
-        ArcDiagram(5, ((1, 4), (3, 4)))
-    with pytest.raises(ValidationError, match="crossing"):
-        ArcDiagram(4, ((1, 3), (2, 4)))
-    with pytest.raises(ValidationError):
-        ArcDiagram(3, ((2, 4),))
+    for m, arcs, message in ARC_FAULTS:
+        with pytest.raises(ValidationError) as excinfo:
+            ArcDiagram(m, arcs)
+        assert str(excinfo.value) == message
+
+
+@st.composite
+def arc_lists(draw):
+    """Point count and arcs (l, r) with l <= r, some ends off 1..m."""
+    m = draw(st.integers(1, 10))
+    point = st.integers(0, m + 1)
+    return m, draw(st.lists(st.tuples(point, point).map(sorted).map(tuple), max_size=5))
+
+
+@given(arc_lists())
+@example((4, [(1, 3), (2, 4)]))
+@example((6, [(1, 4), (2, 3), (3, 6)]))
+@example((6, [(1, 3), (3, 5), (2, 6)]))
+def test_crossing_arcs_equal_the_brute_force(case):
+    m, arcs = case
+    lefts = [l for l, _ in arcs]
+    rights = [r for _, r in arcs]
+    checked = (
+        all(1 <= l < r <= m for l, r in arcs)
+        and len(set(lefts)) == len(lefts)
+        and len(set(rights)) == len(rights)
+    )
+    crosses = checked and any(
+        l1 < l2 < r1 < r2 for l1, r1 in arcs for l2, r2 in arcs
+    )
+    try:
+        ArcDiagram(m, arcs)
+    except ValidationError as exc:
+        assert (str(exc) == "crossing arcs") == crosses
+    else:
+        assert checked and not crosses
 
 
 def test_arcs_round_trip_over_noncrossing_partitions():

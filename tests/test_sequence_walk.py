@@ -19,7 +19,7 @@ import ncpseq.sequences
 from ncpseq import count_all, generate_all, sequence_violation
 from ncpseq import _kernels_py as kernels
 from ncpseq.cli import main
-from ncpseq.sequences import _format_entries
+from ncpseq.sequences import CatSeq, format_sequence
 
 from bruteforce import sequences_by_filter
 
@@ -85,7 +85,7 @@ def test_walk_lists_each_member_once_in_order(n):
     assert all(sequence_violation(s) is None for s in listing)
     assert all(a < b for a, b in zip(listing, listing[1:]))
     texts = list(generate_all(n, as_text=True))
-    assert texts == [_format_entries(s) for s in listing]
+    assert texts == [format_sequence(CatSeq._trusted(s)) for s in listing]
 
 
 @pytest.mark.parametrize("n", range(6))
