@@ -16,8 +16,9 @@ forward image is s.
 inverse runs the n stretches in place on one pair of left/right
 endpoint lists and reads the blocks off by chasing each arc to the
 next, so it costs O(n + s_1 + .. + s_n) and builds no intermediate
-diagram.  stretch_step and inverse_trace use the same in-place step and
-wrap its result in an ArcDiagram.
+diagram.  stretch_step and inverse_trace run the same step, _slide, on
+only the v arcs that a step touches, and share every other arc with the
+diagram before the step.
 
 Where the checks run:
 
@@ -102,36 +103,32 @@ def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
     """
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise StretchError(f"stretch width {v!r} is not a positive integer")
-    left = [l for l, _ in d.arcs]
-    right = [r for _, r in d.arcs]
-    if not 1 <= i <= len(left):
-        raise StretchError(f"no arc {i} in a diagram with {len(left)} arcs")
+    arcs = d.arcs
+    if not 1 <= i <= len(arcs):
+        raise StretchError(f"no arc {i} in a diagram with {len(arcs)} arcs")
     if v == 1:
         return d
     at = i - 1
-    p = left[at]
-    if right[at] != p + 2:
-        raise StretchError(f"arc {i} spans {(p, right[at])}, expected ({p},{p + 2})")
-    if at + v > len(left):
-        raise StretchError(f"only {len(left) - i} arcs follow arc {i}, need {v - 1}")
+    p, r = arcs[at]
+    if r != p + 2:
+        raise StretchError(f"arc {i} spans {(p, r)}, expected ({p},{p + 2})")
+    if at + v > len(arcs):
+        raise StretchError(f"only {len(arcs) - i} arcs follow arc {i}, need {v - 1}")
     for k in range(1, v):
         q = p + 2 * k
-        if left[at + k] != q or right[at + k] != q + 2:
-            got = (left[at + k], right[at + k])
-            raise StretchError(f"arc {i + k} is {got}, expected {(q, q + 2)}")
+        if arcs[at + k] != (q, q + 2):
+            raise StretchError(f"arc {i + k} is {arcs[at + k]}, expected {(q, q + 2)}")
     # The points the stretch touches belong to no other arc, so the
     # result is again a valid diagram, sorted by left end.
-    _slide(left, right, at, v)
-    return ArcDiagram._trusted(d.point_count, _restretched(d.arcs, left, right, i, v))
+    return ArcDiagram._trusted(d.point_count, _stretched(arcs, at, v))
 
 
-def _restretched(
-    arcs: tuple[Arc, ...], left: list[int], right: list[int], i: int, v: int
-) -> tuple[Arc, ...]:
-    """arcs after _slide(left, right, i - 1, v), sharing the arcs it left alone."""
-    out = list(arcs)
-    out[i - 1 : i - 1 + v] = zip(left[i - 1 : i - 1 + v], right[i - 1 : i - 1 + v])
-    return tuple(out)
+def _stretched(arcs: tuple[Arc, ...], at: int, v: int) -> tuple[Arc, ...]:
+    """arcs after _slide of the arc at index at, v > 1, sharing the arcs it leaves alone."""
+    left = [l for l, _ in arcs[at : at + v]]
+    right = [r for _, r in arcs[at : at + v]]
+    _slide(left, right, 0, v)
+    return arcs[:at] + tuple(zip(left, right)) + arcs[at + v :]
 
 
 @dataclass(frozen=True)
@@ -157,29 +154,23 @@ class ConstructionTrace:
         return (self.start,) + tuple(step.diagram for step in self.steps)
 
     def distinct_diagrams(self) -> tuple[ArcDiagram, ...]:
-        """Stages in first-appearance order; repeats of the previous stage drop out."""
-        out = [self.start]
-        for step in self.steps:
-            if step.diagram != out[-1]:
-                out.append(step.diagram)
-        return tuple(out)
+        """The start, then the diagram of each step that shifts an arc (v > 1).
+
+        Such a step lengthens its arc, and v = 1 changes nothing, so these are the stages.
+        """
+        return (self.start,) + tuple(st.diagram for st in self.steps if st.shifted)
 
     def final_partition(self) -> Partition:
-        return from_arcs(self.diagrams()[-1])
+        return from_arcs(self.steps[-1].diagram if self.steps else self.start)
 
     def to_text(self) -> str:
         """One line per step: index, stretched arc, slid arcs, resulting partition."""
         lines = []
         for st in self.steps:
-            if st.shifted:
-                moved = ", ".join(
-                    f"({a[0]},{a[1]})->({b[0]},{b[1]})" for a, b in st.shifted
-                )
-            else:
-                moved = "-"
+            moved = ", ".join(f"({a[0]},{a[1]})->({b[0]},{b[1]})" for a, b in st.shifted)
             lines.append(
                 f"step {st.index}: ({st.arc_before[0]},{st.arc_before[1]})"
-                f"->({st.arc_after[0]},{st.arc_after[1]}); shifted {moved}; "
+                f"->({st.arc_after[0]},{st.arc_after[1]}); shifted {moved or '-'}; "
                 f"{format_partition(from_arcs(st.diagram))}"
             )
         return "\n".join(lines)
@@ -203,25 +194,16 @@ def inverse_trace(s: CatSeq) -> ConstructionTrace:
     """Run the arc-stretching construction for s, recording every step."""
     n = len(s.entries)
     start = initial_diagram(n)
-    left = [l for l, _ in start.arcs]
-    right = [r for _, r in start.arcs]
     diagram = start
     steps = []
     for i in range(1, n + 1):
         v = s.entries[n - i]
+        before = diagram.arcs
         if v > 1:
-            _slide(left, right, i - 1, v)
-        p = left[i - 1]
-        after = (p, right[i - 1])
-        if v == 1:
-            steps.append(TraceStep(i, after, after, (), diagram))
-            continue
-        shifted = tuple(
-            ((q, q + 2), (q - 1, q + 1)) for q in range(p + 2, p + 2 * v, 2)
-        )
-        arcs = _restretched(diagram.arcs, left, right, i, v)
-        diagram = ArcDiagram._trusted(start.point_count, arcs)
-        steps.append(TraceStep(i, (p, p + 2), after, shifted, diagram))
+            diagram = ArcDiagram._trusted(start.point_count, _stretched(before, i - 1, v))
+        after = diagram.arcs
+        shifted = tuple(zip(before[i : i + v - 1], after[i : i + v - 1]))
+        steps.append(TraceStep(i, before[i - 1], after[i - 1], shifted, diagram))
     return ConstructionTrace(start, tuple(steps))
 
 

@@ -377,21 +377,27 @@ class ArcDiagram:
 def _check_arcs(m: int, arcs: tuple[Arc, ...]) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValidationError("point count must be a positive integer")
-    succ = [0] * (m + 1)
-    ended = [False] * (m + 1)
+    succ: dict[int, int] = {}
+    ended: set[int] = set()
     for arc in arcs:
         if len(arc) != 2:
             raise ValidationError(f"arc {arc!r} is not a pair")
         l, r = arc
         if not (type(l) is int and type(r) is int and 1 <= l < r <= m):
             raise ValidationError(f"arc ({l},{r}) outside 1 <= left < right <= {m}")
-        if succ[l]:
+        if l in succ:
             raise ValidationError(f"two arcs share left endpoint {l}")
-        if ended[r]:
+        if r in ended:
             raise ValidationError(f"two arcs share right endpoint {r}")
         succ[l] = r
-        ended[r] = True
-    if not _nests(succ):
+        ended.add(r)
+    # Crossing depends only on the order of the end points, so _nests
+    # runs on their ranks, and nothing is sized by m.
+    rank = {x: k for k, x in enumerate(sorted(succ.keys() | ended), 1)}
+    ranked = [0] * (len(rank) + 1)
+    for l, r in succ.items():
+        ranked[rank[l]] = rank[r]
+    if not _nests(ranked):
         raise ValidationError("crossing arcs")
 
 

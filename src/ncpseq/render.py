@@ -173,20 +173,17 @@ def render_svg(d: ArcDiagram) -> str:
 
 
 def render_trace(t: ConstructionTrace) -> str:
-    """One SVG stacking each distinct stage of a construction trace."""
-    stages: list[tuple[str, ArcDiagram]] = [("start", t.start)]
-    for step in t.steps:
-        if step.diagram != stages[-1][1]:
-            stages.append((f"step {step.index}", step.diagram))
-    drawers: dict[int, _Panel] = {}
+    """One SVG stacking each stage of a construction trace (see distinct_diagrams)."""
+    stages = [("start", t.start)]
+    stages += [(f"step {st.index}", st.diagram) for st in t.steps if st.shifted]
+    # Every stage has the start's points.
+    m = t.start.point_count
+    draw = _panel_drawer(m)
     panels: list[str] = []
     y = MARGIN
     for caption, d in stages:
-        m = d.point_count
-        if m not in drawers:
-            drawers[m] = _panel_drawer(m)
-        elements, bottom = drawers[m](d, y + 20)
+        elements, bottom = draw(d, y + 20)
         title = f'<text x="{_fmt(MARGIN)}" y="{_fmt(y + 12)}" {_FONT}>{caption}</text>'
         panels.append("\n".join([title, *elements]))
         y = bottom + MARGIN
-    return _document(_width(max(drawers)), y, panels)
+    return _document(_width(m), y, panels)

@@ -150,6 +150,28 @@ def test_stretch_rejects_structural_misuse():
     assert issubclass(StretchError, ValidationError)
 
 
+# (diagram, i, v) and the exact text of the StretchError each raises.
+# WIDE is initial_diagram(3) after stretching its first arc by 2.
+WIDE = ArcDiagram(7, ((1, 5), (2, 4), (5, 7)))
+STRETCH_FAULTS = [
+    (initial_diagram(3), 2, 0, "stretch width 0 is not a positive integer"),
+    (initial_diagram(3), 2, True, "stretch width True is not a positive integer"),
+    (initial_diagram(3), 2, 2.0, "stretch width 2.0 is not a positive integer"),
+    (initial_diagram(3), 0, 1, "no arc 0 in a diagram with 3 arcs"),
+    (initial_diagram(3), 4, 1, "no arc 4 in a diagram with 3 arcs"),
+    (WIDE, 1, 2, "arc 1 spans (1, 5), expected (1,3)"),
+    (initial_diagram(3), 2, 3, "only 1 arcs follow arc 2, need 2"),
+    (WIDE, 2, 2, "arc 3 is (5, 7), expected (4, 6)"),
+]
+
+
+@pytest.mark.parametrize("d, i, v, message", STRETCH_FAULTS)
+def test_stretch_faults_name_their_cause(d, i, v, message):
+    with pytest.raises(StretchError) as excinfo:
+        stretch_step(d, i, v)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stretch_legality_equals_governing_bound(n):
     """A stretch succeeds exactly when the governing bound allows the choice.
@@ -293,6 +315,18 @@ def test_intermediate_diagrams_stay_special_one_piece(n):
             assert p.block_count == n + 1
             assert is_special(p)
             assert len(decompose_pieces(p)) == 1
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_stages_are_the_diagram_changes(n):
+    """distinct_diagrams, by the v > 1 rule, against comparing each diagram with the last."""
+    for s in generate_all(n):
+        trace = inverse_trace(s)
+        reference = [trace.start]
+        for step in trace.steps:
+            if step.diagram != reference[-1]:
+                reference.append(step.diagram)
+        assert trace.distinct_diagrams() == tuple(reference)
 
 
 def test_trace_shares_the_arcs_a_step_leaves_alone():

@@ -444,6 +444,17 @@ def test_arc_diagram_invariants():
         assert str(excinfo.value) == message
 
 
+def test_arc_check_sizes_nothing_by_the_point_count():
+    tracemalloc.start()
+    try:
+        d = ArcDiagram(10**7, ((1, 3),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.arcs == ((1, 3),)
+    assert peak < 1_000_000
+
+
 @st.composite
 def arc_lists(draw):
     """Point count and arcs (l, r) with l <= r, some ends off 1..m."""

@@ -6,6 +6,9 @@ layout replaced, so any byte that a rewrite of render.py moves fails
 here.  Each digest covers a run of outputs, each followed by a NUL.
 The inputs are every member of S_n for n <= 8, and seeded members
 drawn as the benchmark's roundtrip draws them, at its render sizes.
+The text and JSON forms of every trace with n <= 8 are pinned the same
+way; their digests were taken before the trace shared one stretch
+step with stretch_step.
 """
 
 import hashlib
@@ -105,3 +108,33 @@ def test_seeded_members_render_their_pinned_bytes(kind, n, seed):
     draw = half_stretched_member if kind == "trace" else random_member
     seq = CatSeq(tuple(draw(rng, n)))
     assert _digest(_renders(kind, [seq])) == SEEDED_DIGESTS[kind, n, seed]
+
+
+TRACE_DIGESTS = {
+    ("text", 0): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("text", 1): "7f1cf1f8da80ed61f4d2ccdac9d58a4752e9db6279812be0c784d3a235a694ae",
+    ("text", 2): "2a3ef53da00f628be3801ad56522248c69cb4393f2410f2ad63d161cf84708d2",
+    ("text", 3): "f004eb7ed05db58336f46f94df8dc5b18aa337f50e8b89bf30b44867b4ffa5ed",
+    ("text", 4): "d982386f47505f1921631d766fa1a45cfa4cfc0ffb94c1648acfac155a1dd5a0",
+    ("text", 5): "c1a7f894df0b69b60532d8dae206061c0f252452569d7fd5d39032597414338b",
+    ("text", 6): "264abbe9e63d60933b9e586a02903dff21649cc1247a4594f7cfdc0fb3eef7ce",
+    ("text", 7): "ca5fbae18db508756fc5c538703264b06f6b28e1ceae0b492aa864d557947268",
+    ("text", 8): "3c4673c6615904dfac16546a172ac6281be04c10f5ff4b7c9ad361fdfec370fd",
+    ("json", 0): "9ee588ba2521e5a7d1ea261ea4ccab4ad9b9724a8569cc2a32f812b985531e81",
+    ("json", 1): "b7878d9145a8211e0fa9047a2b1efe0d875611ed3584fab2d59c222254ea2ec2",
+    ("json", 2): "fa626568d611b4c39cf99738aa00ef072832521f2c16e1345b33141974df1d55",
+    ("json", 3): "169be21fab072358b8268e05a2d0b4faa8a0049ccb5933411bdca256f869ee6e",
+    ("json", 4): "8ddc930ed21fabf96ae9a1a171082ac6e1962822ceb4f71907f5a62f0b47d427",
+    ("json", 5): "bec9e64878eaa2fbaa3f5022884c34323f99bb99cc82f9dbc3e7c46845431348",
+    ("json", 6): "2e800ad51b7c2adbcf62ee098e28ee6899df4b0e9e125d4e6ac9f6b67c9a23fc",
+    ("json", 7): "2b7fe7029daaf882e0be38fde2abad9939ac397196b4d473d27188e64bd1135d",
+    ("json", 8): "bb2b430fb505f989cff317afc55fc140a83f1160e7728560ac7f3eaf1a477966",
+}
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("kind", ("text", "json"))
+def test_every_trace_serializes_to_its_pinned_bytes(kind, n):
+    traces = (inverse_trace(s) for s in generate_all(n))
+    outputs = (t.to_text() if kind == "text" else t.to_json() for t in traces)
+    assert _digest(outputs) == TRACE_DIGESTS[kind, n]
