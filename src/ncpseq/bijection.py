@@ -42,9 +42,7 @@ Where the checks run:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
+from ncpseq._frozen import Frozen
 from ncpseq.errors import StretchError, ValidationError
 from ncpseq.partitions import (
     Arc,
@@ -111,9 +109,11 @@ def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
     at = i - 1
     p, r = arcs[at]
     if r != p + 2:
-        raise StretchError(f"arc {i} spans {(p, r)}, expected ({p},{p + 2})")
+        raise StretchError(f"arc {i} spans {(p, r)}, expected {(p, p + 2)}")
     if at + v > len(arcs):
-        raise StretchError(f"only {len(arcs) - i} arcs follow arc {i}, need {v - 1}")
+        follow = len(arcs) - i
+        verb = "arc follows" if follow == 1 else "arcs follow"
+        raise StretchError(f"only {follow} {verb} arc {i}, need {v - 1}")
     for k in range(1, v):
         q = p + 2 * k
         if arcs[at + k] != (q, q + 2):
@@ -131,23 +131,41 @@ def _stretched(arcs: tuple[Arc, ...], at: int, v: int) -> tuple[Arc, ...]:
     return arcs[:at] + tuple(zip(left, right)) + arcs[at + v :]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Frozen):
     """One stretch: which arc grew, what slid underneath, the result."""
 
+    _fields = ("index", "arc_before", "arc_after", "shifted", "diagram")
     index: int
     arc_before: Arc
     arc_after: Arc
     shifted: tuple[tuple[Arc, Arc], ...]
     diagram: ArcDiagram
 
+    def __init__(
+        self,
+        index: int,
+        arc_before: Arc,
+        arc_after: Arc,
+        shifted: tuple[tuple[Arc, Arc], ...],
+        diagram: ArcDiagram,
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arc_before", arc_before)
+        object.__setattr__(self, "arc_after", arc_after)
+        object.__setattr__(self, "shifted", shifted)
+        object.__setattr__(self, "diagram", diagram)
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+
+class ConstructionTrace(Frozen):
     """The inverse construction, one diagram per step plus the start."""
 
+    _fields = ("start", "steps")
     start: ArcDiagram
     steps: tuple[TraceStep, ...]
+
+    def __init__(self, start: ArcDiagram, steps: tuple[TraceStep, ...]) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
 
     def diagrams(self) -> tuple[ArcDiagram, ...]:
         """D_1 .. D_{n+1}: the start diagram, then one result per step."""
@@ -177,6 +195,8 @@ class ConstructionTrace:
 
     def to_json(self) -> str:
         """The same step records as a JSON array."""
+        import json
+
         records = [
             {
                 "step": st.index,

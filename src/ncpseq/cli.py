@@ -32,38 +32,36 @@ written in slices so that encoding it adds no third copy.  render warns
 on stderr before drawing ascii text of more than ASCII_CHAR_CEILING
 characters (lines x width), or a trace of more than TRACE_POINT_CEILING
 points over all its panels.
+
+Imports: at start this module loads only argparse and the package's
+errors, so a call pays for no module its subcommand does not run.  Each
+handler imports what it uses when it starts, once per call and never
+once per stdin line: map and invert load no verify, oracles, render or
+enumeration kernel, and json is loaded only by verify, check and
+invert --json.  CLAIMS and DEFAULT_N_CEILING repeat what verify
+defines, so that the parser need not load it; a test keeps them equal.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 from ncpseq import __version__
-from ncpseq import verify as verify_mod
-from ncpseq.bijection import forward, inverse, inverse_trace
 from ncpseq.errors import ParseError, ValidationError
-from ncpseq.oracles import count_special, enumerate_special
-from ncpseq.partitions import (
-    ArcDiagram,
-    Partition,
-    format_partition,
-    parse_partition,
-    special_violation,
-    to_arcs,
-)
-from ncpseq.render import ascii_shape, render_ascii, render_svg, render_trace
-from ncpseq.sequences import (
-    CatSeq,
-    count_all,
-    format_sequence,
-    generate_all,
-    parse_sequence,
-)
 
+if TYPE_CHECKING:
+    from ncpseq.partitions import ArcDiagram
+    from ncpseq.sequences import CatSeq
+
+# The claims check runs, in the order of verify.CLAIM_SUITES, and the
+# default --n-max, verify.DEFAULT_N_CEILING.
+CLAIMS = (
+    "cardinality", "round-trip", "special-structure", "floor-sum", "min-blocks", "max-ground"
+)
+DEFAULT_N_CEILING = 9
 # enumerate lists every object at size n; above this n it warns first.
 LISTING_N_CEILING = 11
 # enumerate --count-only takes about n^3 bit operations (seconds at
@@ -124,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="trace as a JSON array")
 
     # --n-max lands in ns.n, as --n does, so that main checks them as one.
-    n_max = dict(dest="n", metavar="N_MAX", type=_ascii_int, default=verify_mod.DEFAULT_N_CEILING)
+    n_max = dict(dest="n", metavar="N_MAX", type=_ascii_int, default=DEFAULT_N_CEILING)
     p = sub.add_parser("verify", help="run all claim suites, print a JSON report")
     p.add_argument("--n-max", **n_max)
 
     p = sub.add_parser("check", help="run a single claim suite")
-    p.add_argument("claim", choices=verify_mod.CLAIM_SUITES)
+    p.add_argument("claim", choices=CLAIMS)
     p.add_argument("--n-max", **n_max)
     p.add_argument("--json", action="store_true", help="full report as JSON")
 
@@ -202,11 +200,15 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if ns.kind == "special":
+        from ncpseq.oracles import count_special, enumerate_special
+
         if ns.count_only:
             print(count_special(ns.n))
         else:
             _write_lines(enumerate_special(ns.n, as_text=True))
         return 0
+    from ncpseq.sequences import count_all, generate_all
+
     if ns.count_only:
         print(count_all(ns.n))
     else:
@@ -214,35 +216,30 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_partition_arg(text: str) -> Partition:
+def _parsed(parse: Callable[[str], object], text: str, what: str, invalid_code: int):
+    """parse(text), with its errors as _Failures: exit 2, or invalid_code if invalid."""
     try:
-        return parse_partition(text)
+        return parse(text)
     except ParseError as exc:
         raise _Failure(2, f"parse error: {exc}")
     except ValidationError as exc:
-        raise _Failure(2, f"invalid partition: {exc}")
+        raise _Failure(invalid_code, f"invalid {what}: {exc}")
 
 
 def cmd_map(ns: argparse.Namespace) -> int:
-    _write_lines(map(_image, _inputs(ns.text)))
+    from ncpseq.bijection import forward
+    from ncpseq.partitions import parse_partition, special_violation
+    from ncpseq.sequences import format_sequence
+
+    def image(text: str) -> str:
+        part = _parsed(parse_partition, text, "partition", 2)
+        reason = special_violation(part)
+        if reason is not None:
+            raise _Failure(1, f"not special: {reason}")
+        return format_sequence(forward(part))
+
+    _write_lines(map(image, _inputs(ns.text)))
     return 0
-
-
-def _image(text: str) -> str:
-    part = _parse_partition_arg(text)
-    reason = special_violation(part)
-    if reason is not None:
-        raise _Failure(1, f"not special: {reason}")
-    return format_sequence(forward(part))
-
-
-def _parse_sequence_arg(text: str) -> CatSeq:
-    try:
-        return parse_sequence(text)
-    except ParseError as exc:
-        raise _Failure(2, f"parse error: {exc}")
-    except ValidationError as exc:
-        raise _Failure(1, f"invalid sequence: {exc}")
 
 
 def cmd_invert(ns: argparse.Namespace) -> int:
@@ -253,8 +250,12 @@ def cmd_invert(ns: argparse.Namespace) -> int:
 
 
 def _preimages(ns: argparse.Namespace) -> Iterator[str]:
+    from ncpseq.bijection import inverse, inverse_trace
+    from ncpseq.partitions import format_partition
+    from ncpseq.sequences import parse_sequence
+
     for text in _inputs(ns.text):
-        seq = _parse_sequence_arg(text)
+        seq = _parsed(parse_sequence, text, "sequence", 1)
         if not ns.trace:
             yield format_partition(inverse(seq))
         elif ns.json:
@@ -268,25 +269,33 @@ def _preimages(ns: argparse.Namespace) -> Iterator[str]:
 
 
 def _warn_above_n_ceiling(n_max: int) -> None:
-    if n_max > verify_mod.DEFAULT_N_CEILING:
+    if n_max > DEFAULT_N_CEILING:
         print(
             f"warning: n_max {n_max} is above the default ceiling "
-            f"{verify_mod.DEFAULT_N_CEILING}; this may take a while",
+            f"{DEFAULT_N_CEILING}; this may take a while",
             file=sys.stderr,
         )
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    import json
+
+    from ncpseq.verify import run_verify
+
     _warn_above_n_ceiling(ns.n)
-    report = verify_mod.run_verify(ns.n)
+    report = run_verify(ns.n)
     print(json.dumps(report, indent=2))
     return 0 if report["status"] == "pass" else 1
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
-    if ns.claim in verify_mod.SWEEPING_CLAIMS:
+    import json
+
+    from ncpseq.verify import CLAIM_SUITES, SWEEPING_CLAIMS
+
+    if ns.claim in SWEEPING_CLAIMS:
         _warn_above_n_ceiling(ns.n)
-    report = verify_mod.CLAIM_SUITES[ns.claim](ns.n)
+    report = CLAIM_SUITES[ns.claim](ns.n)
     if ns.json:
         print(json.dumps(report.to_dict(), indent=2))
     elif report.passed:
@@ -303,6 +312,11 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_render(ns: argparse.Namespace) -> int:
+    from ncpseq.bijection import inverse, inverse_trace
+    from ncpseq.partitions import parse_partition, to_arcs
+    from ncpseq.render import render_trace
+    from ncpseq.sequences import parse_sequence
+
     text = ns.text if ns.text is not None else _render_stdin()
     looks_like_partition = (
         "|" in text or "," in text or len(text.split()) == 1
@@ -310,14 +324,14 @@ def cmd_render(ns: argparse.Namespace) -> int:
     if looks_like_partition:
         if ns.trace:
             raise _Failure(2, "--trace needs a sequence input")
-        part = _parse_partition_arg(text)
+        part = _parsed(parse_partition, text, "partition", 2)
         try:
             diagram = to_arcs(part)
         except ValidationError as exc:
             raise _Failure(1, f"invalid partition: {exc}")
         content = _render_diagram(ns.fmt, diagram)
     else:
-        seq = _parse_sequence_arg(text)
+        seq = _parsed(parse_sequence, text, "sequence", 1)
         if ns.trace:
             if ns.fmt != "svg":
                 raise _Failure(2, "--trace renders svg only")
@@ -365,6 +379,8 @@ def _render_stdin() -> str:
 
 
 def _render_diagram(fmt: str, diagram: ArcDiagram) -> str:
+    from ncpseq.render import ascii_shape, render_ascii, render_svg
+
     if fmt == "svg":
         return render_svg(diagram)
     lines, width = ascii_shape(diagram)

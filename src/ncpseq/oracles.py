@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
+from ncpseq._frozen import Frozen
 from ncpseq.errors import ValidationError
 from ncpseq.partitions import (
     Partition,
@@ -94,20 +94,20 @@ def min_ssp_blocks(m: int) -> int:
     return kernels.ssp_min_blocks(m)
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """An ordered list of positive parts; n is their sum."""
 
+    _fields = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(parts)
         if not parts:
             raise ValidationError("a composition needs at least one part")
         for x in parts:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise ValidationError(f"part {x!r} is not a positive integer")
+        object.__setattr__(self, "parts", parts)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.parts)
@@ -144,20 +144,36 @@ def check_floor_sum(c: Composition) -> bool:
     return sum(x // 2 for x in c.parts) + len(c.parts) >= n // 2 + 1
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of one exhaustive claim check."""
 
+    _fields = (
+        "claim", "range_checked", "passed", "count_checked", "elapsed_ms", "counterexample"
+    )
     claim: str
     range_checked: str
     passed: bool
     count_checked: int
     elapsed_ms: float
-    counterexample: str | None = None
+    counterexample: str | None
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.counterexample is None:
+    def __init__(
+        self,
+        claim: str,
+        range_checked: str,
+        passed: bool,
+        count_checked: int,
+        elapsed_ms: float,
+        counterexample: str | None = None,
+    ) -> None:
+        if not passed and counterexample is None:
             raise ValidationError("failing reports must carry a counterexample")
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "range_checked", range_checked)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "count_checked", count_checked)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def to_dict(self) -> dict:
         """JSON layout: claim, range, status, counterexample?, count_checked, elapsed_ms."""

@@ -32,8 +32,8 @@ Where each check runs:
   token and go through the checked constructor, which names the first
   fault.  Nothing is sized by the largest element before that test.
 * The special verdict is computed once per object: special_violation
-  stores its answer on the instance, outside the dataclass fields, so
-  equality, hashing and repr do not see it.  Only when is_semi_special
+  stores its answer on the instance, outside the fields, so equality,
+  hashing and repr do not see it.  Only when is_semi_special
   fails do the checks run one by one, to name the first that breaks.
 * Every reader of the arcs works on one successor array: succ[x] is the
   next element of x's block, or 0 after its last, so succ[x] - x is the
@@ -45,11 +45,11 @@ Where each check runs:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
+from ncpseq._frozen import Frozen
 from ncpseq.errors import ParseError, ValidationError
 
 Block = tuple[int, ...]
@@ -59,17 +59,18 @@ BLOCK_SEP = "|"
 ELEMENT_SEP = ","
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A set partition of {1..ground_size} in canonical block order."""
 
+    _fields = ("ground_size", "blocks")
     ground_size: int
     blocks: tuple[Block, ...]
 
-    def __post_init__(self) -> None:
-        blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+    def __init__(self, ground_size: int, blocks: tuple[Block, ...]) -> None:
+        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        _check_partition(ground_size, blocks)
+        object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "blocks", blocks)
-        _check_partition(self.ground_size, blocks)
 
     @classmethod
     def _trusted(cls, ground_size: int, blocks: tuple[Block, ...]) -> Partition:
@@ -349,17 +350,18 @@ def _gap_blocks(blocks: tuple[Block, ...], lo: int, hi: int) -> tuple[Block, ...
     return tuple([tuple([x - lo for x in b]) for b in blocks[first:stop]])
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class ArcDiagram(Frozen):
     """Arcs (left, right) over points 1..point_count, sorted by left end."""
 
+    _fields = ("point_count", "arcs")
     point_count: int
     arcs: tuple[Arc, ...]
 
-    def __post_init__(self) -> None:
-        norm = tuple(sorted(tuple(a) for a in self.arcs))
-        object.__setattr__(self, "arcs", norm)
-        _check_arcs(self.point_count, norm)
+    def __init__(self, point_count: int, arcs: tuple[Arc, ...]) -> None:
+        arcs = tuple(sorted(tuple(a) for a in arcs))
+        _check_arcs(point_count, arcs)
+        object.__setattr__(self, "point_count", point_count)
+        object.__setattr__(self, "arcs", arcs)
 
     @classmethod
     def _trusted(cls, point_count: int, arcs: tuple[Arc, ...]) -> ArcDiagram:

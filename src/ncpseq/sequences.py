@@ -33,16 +33,17 @@ unique n = 0 sequence.  parse_sequence reads the text in one step, or
 token by token when that fails, to name the first bad token; membership
 is then checked once, by CatSeq.  CatSeq._trusted wraps entries with no
 check, for code that has proved them a member: forward's images and
-the walk's listing.
+the walk's listing.  generate_all and count_all import the kernels
+when they run, so code that only parses or formats sequences never
+loads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from ncpseq._backend import kernels
+from ncpseq._frozen import Frozen
 from ncpseq.errors import ParseError, ValidationError
 
 
@@ -88,18 +89,18 @@ def validate_sequence(entries: Sequence[int]) -> bool:
     return sequence_violation(entries) is None
 
 
-@dataclass(frozen=True)
-class CatSeq:
+class CatSeq(Frozen):
     """A member of S_n; construction rejects anything else."""
 
+    _fields = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
         reason = sequence_violation(entries)
         if reason is not None:
             raise ValidationError(reason)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> CatSeq:
@@ -160,8 +161,7 @@ def format_sequence(s: CatSeq) -> str:
     return " ".join(map(str, s.entries))
 
 
-@dataclass(frozen=True)
-class GoverningState:
+class GoverningState(Frozen):
     """Partially built sequence plus per-position bounds, cursor counting down.
 
     values holds 1 at unset positions (everything at or before the
@@ -169,19 +169,21 @@ class GoverningState:
     and the chosen value at set ones.
     """
 
+    _fields = ("values", "bounds", "cursor")
     values: tuple[int, ...]
     bounds: tuple[int, ...]
     cursor: int
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        bounds = tuple(self.bounds)
+    def __init__(self, values: tuple[int, ...], bounds: tuple[int, ...], cursor: int) -> None:
+        values = tuple(values)
+        bounds = tuple(bounds)
+        if len(bounds) != len(values) or not 0 <= cursor <= len(values):
+            raise ValidationError("state lengths and cursor do not agree")
+        if any(v != 1 for v in values[:cursor]):
+            raise ValidationError("unset positions must hold the placeholder 1")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bounds", bounds)
-        if len(bounds) != len(values) or not 0 <= self.cursor <= len(values):
-            raise ValidationError("state lengths and cursor do not agree")
-        if any(v != 1 for v in values[: self.cursor]):
-            raise ValidationError("unset positions must hold the placeholder 1")
+        object.__setattr__(self, "cursor", cursor)
 
     @classmethod
     def initial(cls, n: int) -> GoverningState:
@@ -260,6 +262,8 @@ def generate_all(n: int, *, as_text: bool = False) -> Iterator[CatSeq] | Iterato
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
+    from ncpseq._backend import kernels
+
     if not as_text:
         for entries in kernels.catalan_sequences(n):
             yield CatSeq._trusted(entries)
@@ -273,4 +277,6 @@ def count_all(n: int) -> int:
     """|S_n|, counted without a walk (see ncpseq._kernels_py)."""
     if n < 0:
         raise ValidationError("n must be >= 0")
+    from ncpseq._backend import kernels
+
     return kernels.count_catalan_sequences(n)

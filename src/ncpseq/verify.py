@@ -23,10 +23,10 @@ per distinct sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from ncpseq import bijection
+from ncpseq._frozen import Frozen
 from ncpseq.errors import ValidationError
 from ncpseq.oracles import (
     CheckReport,
@@ -49,13 +49,20 @@ MIN_BLOCKS_M_CAP = 13
 MAX_GROUND_B_CAP = 6
 
 
-@dataclass(frozen=True)
-class SizeFixture:
+class SizeFixture(Frozen):
     """Both sides of the bijection at one size, enumerated once."""
 
+    _fields = ("n", "partitions", "sequences")
     n: int
     partitions: tuple[Partition, ...]  # special partitions of [2n+1], canonical order
     sequences: tuple[CatSeq, ...]  # S_n in generation order
+
+    def __init__(
+        self, n: int, partitions: tuple[Partition, ...], sequences: tuple[CatSeq, ...]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "partitions", partitions)
+        object.__setattr__(self, "sequences", sequences)
 
 
 def size_fixtures(n_max: int) -> tuple[SizeFixture, ...]:

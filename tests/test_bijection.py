@@ -159,8 +159,8 @@ STRETCH_FAULTS = [
     (initial_diagram(3), 2, 2.0, "stretch width 2.0 is not a positive integer"),
     (initial_diagram(3), 0, 1, "no arc 0 in a diagram with 3 arcs"),
     (initial_diagram(3), 4, 1, "no arc 4 in a diagram with 3 arcs"),
-    (WIDE, 1, 2, "arc 1 spans (1, 5), expected (1,3)"),
-    (initial_diagram(3), 2, 3, "only 1 arcs follow arc 2, need 2"),
+    (WIDE, 1, 2, "arc 1 spans (1, 5), expected (1, 3)"),
+    (initial_diagram(3), 2, 3, "only 1 arc follows arc 2, need 2"),
     (WIDE, 2, 2, "arc 3 is (5, 7), expected (4, 6)"),
 ]
 

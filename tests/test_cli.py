@@ -21,7 +21,10 @@ import ncpseq
 import ncpseq._kernels_py
 import ncpseq.bijection
 import ncpseq.cli
+import ncpseq.oracles
 import ncpseq.partitions
+import ncpseq.render
+import ncpseq.sequences
 import ncpseq.verify
 from ncpseq import (
     CatSeq,
@@ -87,8 +90,8 @@ def test_enumerate_warns_above_the_listing_ceiling(cli, monkeypatch):
         code, out, err = cli("enumerate", "--kind", kind, "--n", "12")
         assert (code, out) == (0, "")
         assert err.startswith("warning: n 12 is above the listing ceiling 11")
-    monkeypatch.setattr(ncpseq.cli, "count_special", lambda n: 0)
-    monkeypatch.setattr(ncpseq.cli, "count_all", lambda n: 0)
+    monkeypatch.setattr(ncpseq.oracles, "count_special", lambda n: 0)
+    monkeypatch.setattr(ncpseq.sequences, "count_all", lambda n: 0)
     assert cli("enumerate", "--n", "12", "--count-only") == (0, "0\n", "")
     for kind in ("special", "sequences"):
         assert cli("enumerate", "--kind", kind, "--n", "1000", "--count-only") == (
@@ -681,7 +684,7 @@ def test_running_out_of_memory_exits_2_with_one_line(cli, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(ncpseq.cli, "render_trace", exhausted)
+    monkeypatch.setattr(ncpseq.render, "render_trace", exhausted)
     code, out, err = cli("render", "1 1 2", "--trace", "--format", "svg")
     assert (code, out) == (2, "")
     assert err.startswith("memory error:")
