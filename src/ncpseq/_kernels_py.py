@@ -27,7 +27,11 @@ restores in O(1).
 The walk builds each partition as it goes: it keeps one list per
 block, appends e's label to the block e opens or joins and pops it
 again on backtrack, so a leaf only freezes the lists.  By default the
-label is e and a leaf freezes to a tuple of block tuples; a listing of
+label is e and a leaf freezes to a tuple of block tuples, each looked
+up in a dict that lives for one walk call, so equal blocks of different
+leaves are one tuple (hash-consing: Filliatre & Conchon, "Type-safe
+modular hash-consing", ML Workshop 2006); the 4,862 special partitions
+of [19] hold 48,620 blocks but only 1,022 distinct ones.  A listing of
 texts passes each element's text and a freeze that joins the lists
 straight into canonical text, so nothing is formatted twice and this
 module knows no text format.  The blocks are a canonical partition
@@ -88,12 +92,22 @@ L = TypeVar("L")  # what it freezes each leaf into
 S = TypeVar("S", tuple, str)  # what the sequence walk folds each member into
 
 
-def _freeze_blocks(members: list[list[int]]) -> PartitionBlocks:
-    return tuple(map(tuple, members))
+def _freeze_blocks() -> Callable[[list[list[int]]], PartitionBlocks]:
+    """A fresh default freeze: each leaf's lists become a tuple of block tuples.
+
+    Equal blocks come back as the first tuple built for them, from a
+    dict that lives as long as the freeze, which is one walk call.
+    """
+    shared = {}
+    keep = shared.setdefault
+    return lambda members: tuple([keep(b, b) for b in map(tuple, members)])
 
 
 def ssp_partitions(m: int) -> list[PartitionBlocks]:
-    """All semi-special partitions of [m], in construction order."""
+    """All semi-special partitions of [m], in construction order.
+
+    Each is a tuple of block tuples, and equal blocks are one tuple.
+    """
     return list(_partition_walk(m, None))
 
 
@@ -105,13 +119,13 @@ def count_ssp_partitions(m: int) -> int:
 def special_partitions(
     n: int,
     labels: Sequence[T] | None = None,
-    freeze: Callable[[list[list[T]]], L] = _freeze_blocks,
+    freeze: Callable[[list[list[T]]], L] | None = None,
 ) -> list[L]:
     """All special partitions of [2n+1]: semi-special with n+1 blocks.
 
     In construction order, each frozen from the walk's lists of blocks
     by freeze, with element e stored as labels[e]: by default e itself,
-    frozen to a tuple of block tuples.
+    frozen to a tuple of block tuples that shares equal blocks.
     """
     return list(_partition_walk(2 * n + 1, n + 1, labels, freeze))
 
@@ -137,12 +151,14 @@ def _partition_walk(
     m: int,
     target: int | None,
     labels: Sequence[T] | None = None,
-    freeze: Callable[[list[list[T]]], L] = _freeze_blocks,
+    freeze: Callable[[list[list[T]]], L] | None = None,
 ) -> Iterator[L]:
     if m < 1:
         raise ValueError("ground size must be at least 1")
     if labels is None:
         labels = range(m + 1)
+    if freeze is None:
+        freeze = _freeze_blocks()
     members: list[list] = []
     # open_at[d]: the block open at depth d (0 = bottom), while d is
     # below the current depth; joins leave the blocks above in place.

@@ -13,12 +13,39 @@ v = s_{n-i+1}, sliding the v-1 span-2 arcs chained after it one point
 to the left.  After n steps the arcs spell out the partition whose
 forward image is s.
 
-inverse runs the n stretches in place on one pair of left/right
-endpoint lists and reads the blocks off by chasing each arc to the
-next, so it costs O(n + s_1 + .. + s_n) and builds no intermediate
-diagram.  stretch_step and inverse_trace run the same step, _slide, on
-only the v arcs that a step touches, and share every other arc with the
-diagram before the step.
+stretch_step and inverse_trace run the paper's step, _slide, on only
+the v arcs that a step touches, and share every other arc with the
+diagram before the step.  inverse builds the same partition in O(n)
+from the nesting of s, with no arc stretched, by the region fact:
+
+  Call a run (j - k, j] of indices closed when every i in it has
+  (i - s_i, i] inside it.  Read s from the right with a stack of
+  regions (a, k), each a closed run of k entries, the next k to be
+  read, together with the 2k + 1 points a..a + 2k and the block that
+  point a belongs to; start from (1, n) with the block [1].  Pop
+  (a, k) with k > 0 and read its next entry t = s_j: point a's next
+  element is a + 2t, the points a + 1..a + 2t - 1 are the region
+  (a + 1, t - 1) with a new block [a + 1], and a + 2t..a + 2k is the
+  region (a + 2t, k - t), where a + 2t continues a's block.  Push the
+  second, then the first, so the inner one is read next.
+
+Proof.  (0, n] is closed by (i).  In a closed run (j - k, j],
+(j - s_j, j] lies inside the run, so t = s_j <= k and the arc
+(a, a + 2t) stays inside the region.  The inner run (j - t, j - 1] is
+closed: for i in it, (i - s_i, i] meets (j - t, j] at i, so by (ii)
+one holds the other, and as i < j it lies inside (j - t, j].  The
+outer run (j - k, j - t] is closed, since each of its intervals lies
+in (j - k, j] and ends by j - t.  The inner run is read before the
+outer one, so the entries are read from s_n down to s_1, once each;
+the regions are popped in increasing order of a, so the arcs come in
+left-end order, the one read at s_j of length 2 s_j, and the
+partition's forward image is s.  Each region places each point it
+spans once, regions only nest or follow one another, so no arcs
+cross, and every arc spans at least 2 points; n arcs on 2n + 1 points
+leave n + 1 blocks, so the partition is special.  forward is injective
+on special partitions (the paper's theorem), so this is the partition
+the stretches build.  Each block opens after every block that starts
+further left, so the blocks come out in canonical order.
 
 Where the checks run:
 
@@ -27,14 +54,16 @@ Where the checks run:
   paper's theorem, so it is wrapped as a CatSeq unchecked; the tests
   check the theorem over every special partition up to n = 9 and on
   samples up to n = 300.
-* inverse needs a member of S_n, which CatSeq has checked, and runs its
-  steps with no further check: membership implies each step's shape.
-  By (i), s_{n-i+1} <= n-i+1, so v - 1 arcs follow arc i; by (ii), the
+* inverse needs a member of S_n, which CatSeq has checked, and builds
+  its regions with no further check: membership is what keeps each
+  arc inside its region (the region fact above).
+* inverse_trace takes a member of S_n too, and runs the paper's steps
+  with no further check: membership implies each step's shape.  By
+  (i), s_{n-i+1} <= n-i+1, so v - 1 arcs follow arc i; by (ii), the
   arcs a step reaches lie inside the chain of span-2 arcs that every
   earlier step left from arc i on (a step fails exactly when v exceeds
-  the governing bound; see stretch_step).
-* inverse_trace takes a member of S_n too, and runs the same unchecked
-  steps as inverse; its diagrams are wrapped as built.
+  the governing bound; see stretch_step).  Its diagrams are wrapped as
+  built.
 * stretch_step takes any diagram and width, so it checks the step's
   preconditions.  A valid diagram that meets them stays valid, so its
   result is not validated again.
@@ -48,7 +77,6 @@ from ncpseq.partitions import (
     Arc,
     ArcDiagram,
     Partition,
-    _arc_chains,
     _successors,
     format_partition,
     from_arcs,
@@ -228,11 +256,25 @@ def inverse_trace(s: CatSeq) -> ConstructionTrace:
 
 
 def inverse(s: CatSeq) -> Partition:
-    """The special partition whose forward image is s."""
+    """The special partition whose forward image is s, in O(n).
+
+    Built region by region from the nesting of s, by the region fact
+    in the module docstring; regions with no entry left are not pushed.
+    """
     n = len(s.entries)
-    left = list(range(1, 2 * n, 2))
-    right = list(range(3, 2 * n + 2, 2))
-    for at, v in enumerate(reversed(s.entries)):
-        if v > 1:
-            _slide(left, right, at, v)
-    return Partition._trusted(2 * n + 1, _arc_chains(2 * n + 1, zip(left, right)))
+    entries = reversed(s.entries)
+    first = [1]
+    blocks = [first]
+    regions = [(1, n, first)] if n else []
+    while regions:
+        a, k, block = regions.pop()
+        t = next(entries)
+        end = a + 2 * t
+        block.append(end)
+        if k > t:
+            regions.append((end, k - t, block))
+        inner = [a + 1]
+        blocks.append(inner)
+        if t > 1:
+            regions.append((a + 1, t - 1, inner))
+    return Partition._trusted(2 * n + 1, tuple(map(tuple, blocks)))

@@ -47,12 +47,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 from ncpseq import __version__
 from ncpseq.errors import ParseError, ValidationError
 
+# Annotations are never evaluated, so typing is loaded by type checkers only.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator, TextIO
+
     from ncpseq.partitions import ArcDiagram
     from ncpseq.sequences import CatSeq
 

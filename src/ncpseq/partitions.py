@@ -32,9 +32,15 @@ Where each check runs:
   token and go through the checked constructor, which names the first
   fault.  Nothing is sized by the largest element before that test.
 * The special verdict is computed once per object: special_violation
-  stores its answer on the instance, outside the fields, so equality,
-  hashing and repr do not see it.  Only when is_semi_special
+  stores its answer in a slot of the instance that is not a field, so
+  equality, hashing and repr do not see it, and the frozen __setattr__
+  keeps it from being set from outside.  Only when is_semi_special
   fails do the checks run one by one, to name the first that breaks.
+* A Partition holds its fields and that verdict in __slots__, with no
+  instance __dict__, and the walk behind enumerate_special gives equal
+  blocks of different partitions as one tuple (see
+  ncpseq._kernels_py), so a whole listing holds little more than its
+  distinct blocks.
 * Every reader of the arcs works on one successor array: succ[x] is the
   next element of x's block, or 0 after its last, so succ[x] - x is the
   paper's difference sequence wherever succ[x] is nonzero.  _nests is
@@ -47,10 +53,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable
 
 from ncpseq._frozen import Frozen
 from ncpseq.errors import ParseError, ValidationError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 Block = tuple[int, ...]
 Arc = tuple[int, int]
@@ -58,10 +67,14 @@ Arc = tuple[int, int]
 BLOCK_SEP = "|"
 ELEMENT_SEP = ","
 
+# What a Partition's verdict slot holds until special_violation first runs.
+_UNCHECKED = object()
+
 
 class Partition(Frozen):
     """A set partition of {1..ground_size} in canonical block order."""
 
+    __slots__ = ("ground_size", "blocks", "_special_verdict")
     _fields = ("ground_size", "blocks")
     ground_size: int
     blocks: tuple[Block, ...]
@@ -71,6 +84,7 @@ class Partition(Frozen):
         _check_partition(ground_size, blocks)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_special_verdict", _UNCHECKED)
 
     @classmethod
     def _trusted(cls, ground_size: int, blocks: tuple[Block, ...]) -> Partition:
@@ -82,6 +96,7 @@ class Partition(Frozen):
         self = object.__new__(cls)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_special_verdict", _UNCHECKED)
         return self
 
     def __str__(self) -> str:
@@ -246,13 +261,13 @@ def special_violation(p: Partition) -> str | None:
     blocks, non-crossing, no two consecutive integers in a block.  The
     checks run on the first call for p; later calls return that answer.
     """
-    # Not a field: the answer goes in the instance __dict__, past the
-    # frozen __setattr__.  functools.cached_property does the same, but
-    # before Python 3.12 it takes a lock that costs as much as the checks.
-    saved = p.__dict__
-    if "_special_verdict" not in saved:
-        saved["_special_verdict"] = _special_checks(p)
-    return saved["_special_verdict"]
+    # Not a field: the answer goes in its own slot, past the frozen
+    # __setattr__, which every constructor fills with _UNCHECKED.
+    verdict = p._special_verdict
+    if verdict is _UNCHECKED:
+        verdict = _special_checks(p)
+        object.__setattr__(p, "_special_verdict", verdict)
+    return verdict
 
 
 def _special_checks(p: Partition) -> str | None:

@@ -41,10 +41,13 @@ loads them.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator, Sequence
 
 from ncpseq._frozen import Frozen
 from ncpseq.errors import ParseError, ValidationError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, Sequence
 
 
 def sequence_violation(entries: Sequence[int]) -> str | None:
@@ -92,6 +95,7 @@ def validate_sequence(entries: Sequence[int]) -> bool:
 class CatSeq(Frozen):
     """A member of S_n; construction rejects anything else."""
 
+    __slots__ = ("entries",)
     _fields = ("entries",)
     entries: tuple[int, ...]
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,37 @@ def test_inverse_builds_no_diagram(monkeypatch):
     assert forward(p) == s
     assert stretch_step(initial_diagram(2), 1, 2).arcs == ((1, 5), (2, 4))
     assert made == ["trusted", "trusted"]
+
+
+# inverse reads the nesting of s and stretches no arc; the last stage
+# of the paper's construction referees it.
+def _last_stage(s):
+    return from_arcs(inverse_trace(s).distinct_diagrams()[-1])
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_inverse_equals_the_last_stage_of_the_trace(n):
+    for s in generate_all(n):
+        p = inverse(s)
+        assert p == _last_stage(s)
+        assert type(p.blocks) is tuple and all(type(b) is tuple for b in p.blocks)
+
+
+@given(members(n_max=300))
+@settings(max_examples=60, deadline=None)
+def test_inverse_equals_the_last_stage_on_long_members(s):
+    assert inverse(s) == _last_stage(s)
+
+
+def test_inverse_is_linear_on_the_staircase():
+    # The stretches cost s_1 + ... + s_n, about 2 * 10^8 steps here,
+    # which took 10 s; the regions take 20,000.
+    s = CatSeq(tuple(range(1, 20001)))
+    started = time.perf_counter()
+    p = inverse(s)
+    assert time.perf_counter() - started < 1.0
+    assert p.blocks[:2] == ((1, 40001), (2, 40000)) and len(p.blocks) == 20001
+    assert forward(p) == s
 
 
 def test_inverse_examples():

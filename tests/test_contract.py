@@ -6,8 +6,10 @@ every module eagerly; the plain classes and the lazy namespace keep
 them.
 """
 
+import copy
 import doctest
 import hashlib
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +24,14 @@ from ncpseq import (
     CheckReport,
     Composition,
     GoverningState,
+    Partition,
+    enumerate_special,
+    forward,
+    generate_all,
+    inverse,
     inverse_trace,
     parse_partition,
+    parse_sequence,
     special_violation,
     to_arcs,
 )
@@ -144,6 +152,34 @@ def test_the_cached_verdict_is_invisible():
     p, fresh = parse_partition("1,5|2,4|3"), parse_partition("1,5|2,4|3")
     assert special_violation(p) is None
     assert (p, hash(p), repr(p)) == (fresh, hash(fresh), repr(fresh))
+
+
+@pytest.mark.parametrize("name, fields, build, text, digest", VALUES, ids=IDS)
+def test_copies_and_pickles_are_equal_values(name, fields, build, text, digest):
+    obj = build()
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj)
+        assert (twin, repr(twin)) == (obj, text)
+
+
+def test_partitions_and_sequences_carry_no_instance_dict():
+    s = CatSeq((1, 2))
+    built = [
+        parse_partition("1,5|2,4|3"),
+        Partition(5, ((2, 4), (1, 5), (3,))),
+        Partition._trusted(3, ((1, 3), (2,))),
+        *enumerate_special(2),
+        inverse(s),
+        s,
+        parse_sequence("1 2"),
+        CatSeq._trusted((1,)),
+        *generate_all(3),
+        forward(parse_partition("1,5|2,4|3")),
+    ]
+    for obj in built:
+        if isinstance(obj, Partition):
+            special_violation(obj)  # fills the verdict slot
+        assert not hasattr(obj, "__dict__"), repr(obj)
 
 
 PUBLIC = [

@@ -117,6 +117,28 @@ def test_special_walk_freezes_each_leaf_to_the_text_of_its_blocks(n):
     assert len(texts) == catalan(n)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_walk_gives_equal_blocks_as_one_tuple(n):
+    """Equal blocks of different leaves of one listing are one object."""
+    for listing in (kernels.special_partitions(n), kernels.ssp_partitions(2 * n + 1)):
+        blocks = [b for leaf in listing for b in leaf]
+        assert len({id(b) for b in blocks}) == len(set(blocks))
+    shared = {id(b) for p in enumerate_special(n) for b in p.blocks}
+    assert len(shared) == len({b for p in enumerate_special(n) for b in p.blocks})
+
+
+def test_no_shared_block_outlives_its_walk():
+    first, again = kernels.special_partitions(3), kernels.special_partitions(3)
+    assert first == again
+    assert all(a is not b for x, y in zip(first, again) for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_text_listing_is_the_partition_listing_formatted(n):
+    texts = list(enumerate_special(n, as_text=True))
+    assert texts == [format_partition(p) for p in enumerate_special(n)]
+
+
 def test_special_count_is_catalan():
     for n in [*range(61), 150]:
         assert kernels.count_special_partitions(n) == catalan(n)

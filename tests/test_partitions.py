@@ -1,5 +1,6 @@
 """Partition parsing, validation, crossing detection, pieces, arcs."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -330,6 +331,44 @@ def test_special_violation_is_computed_once_per_object(text, monkeypatch):
     fresh = parse_partition(text)
     assert (fresh, hash(fresh), repr(fresh)) == (p, hash(p), repr(p))
     assert special_violation(fresh) == first
+
+
+@pytest.mark.parametrize("text", ["1,5|2,4|3", "1,3|2,4"])
+def test_the_verdict_lives_in_a_slot_and_is_computed_once(text, monkeypatch):
+    checks = []
+    real = ncpseq.partitions._special_checks
+    monkeypatch.setattr(
+        ncpseq.partitions, "_special_checks", lambda p: checks.append(p) or real(p)
+    )
+    p = parse_partition(text)
+    before = (hash(p), repr(p))
+    verdict = special_violation(p)
+    assert [special_violation(p) for _ in range(3)] == [verdict] * 3
+    assert checks == [p]
+    assert not hasattr(p, "__dict__")
+    assert (hash(p), repr(p)) == before
+    with pytest.raises(AttributeError, match="cannot assign to field '_special_verdict'"):
+        p._special_verdict = "forged"
+    with pytest.raises(AttributeError, match="cannot delete field '_special_verdict'"):
+        del p._special_verdict
+    assert special_violation(p) == verdict and checks == [p]
+
+
+def test_the_first_check_raises_no_exception():
+    raised = []
+
+    def trace(frame, event, arg):
+        if event == "exception":
+            raised.append((frame.f_code.co_name, arg[0]))
+        return trace
+
+    p = parse_partition("1,5|2,4|3")
+    sys.settrace(trace)
+    try:
+        special_violation(p)
+    finally:
+        sys.settrace(None)
+    assert raised == []
 
 
 def test_pieces_examples():

@@ -7,10 +7,14 @@ from a site .pth file) is not the package's doing, so it is left out of
 the comparison.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import ncpseq
 
 SLOW = {"dataclasses", "json"}
 CHECKS = {"ncpseq.verify", "ncpseq.oracles"}
@@ -31,9 +35,9 @@ CALLS = [
 ]
 
 
-def _loaded(*args: str) -> tuple[set[str], subprocess.CompletedProcess]:
+def _loaded(*args: str, env: dict | None = None) -> tuple[set[str], subprocess.CompletedProcess]:
     res = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env
     )
     names = {
         line.rsplit("|", 1)[1].strip()
@@ -70,3 +74,14 @@ def test_console_script_route_loads_only_what_the_subcommand_runs(bare, argv, st
     names, res = _loaded("-c", code)
     assert (res.returncode, res.stdout) == (0, stdout)
     assert absent & (names - bare) == set()
+
+
+@pytest.mark.parametrize("argv, stdout", [c[:2] for c in CALLS[:2]], ids=["map 1", "invert 1"])
+def test_map_and_invert_load_no_typing_without_site(argv, stdout):
+    # -S runs no site module, whose .pth files may load typing anyway;
+    # the package is then found through PYTHONPATH alone.
+    env = {**os.environ, "PYTHONPATH": str(Path(ncpseq.__file__).resolve().parent.parent)}
+    bare, _ = _loaded("-S", "-c", "pass", env=env)
+    names, res = _loaded("-S", "-m", "ncpseq", *argv, env=env)
+    assert (res.returncode, res.stdout) == (0, stdout)
+    assert "typing" not in bare | names
