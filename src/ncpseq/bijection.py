@@ -13,10 +13,14 @@ v = s_{n-i+1}, sliding the v-1 span-2 arcs chained after it one point
 to the left.  After n steps the arcs spell out the partition whose
 forward image is s.
 
-stretch_step and inverse_trace run the paper's step, _slide, on only
-the v arcs that a step touches, and share every other arc with the
-diagram before the step.  inverse builds the same partition in O(n)
-from the nesting of s, with no arc stretched, by the region fact:
+stretch_step and inverse_trace run the paper's step, _stretched, which
+builds the v arcs that a step touches from p and v and shares every
+other arc with the diagram before the step.  The steps come from one
+stream, _trace_steps, that holds only the latest diagram: inverse_trace
+collects it, and invert --trace writes each step as it comes, with the
+formatters behind to_text and to_json.  inverse builds the same
+partition in O(n) from the nesting of s, with no arc stretched, by the
+region fact:
 
   Call a run (j - k, j] of indices closed when every i in it has
   (i - s_i, i] inside it.  Read s from the right with a stack of
@@ -107,14 +111,6 @@ def initial_diagram(n: int) -> ArcDiagram:
     return ArcDiagram._trusted(2 * n + 1, arcs)
 
 
-def _slide(left: list[int], right: list[int], at: int, v: int) -> None:
-    # The unchecked stretch of the arc at index at, for v > 1.
-    p = left[at]
-    right[at] = p + 2 * v
-    left[at + 1 : at + v] = range(p + 1, p + 2 * v - 2, 2)
-    right[at + 1 : at + v] = range(p + 3, p + 2 * v, 2)
-
-
 def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
     """Stretch the i-th arc (left-endpoint order) across v - 1 chained arcs.
 
@@ -152,11 +148,11 @@ def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
 
 
 def _stretched(arcs: tuple[Arc, ...], at: int, v: int) -> tuple[Arc, ...]:
-    """arcs after _slide of the arc at index at, v > 1, sharing the arcs it leaves alone."""
-    left = [l for l, _ in arcs[at : at + v]]
-    right = [r for _, r in arcs[at : at + v]]
-    _slide(left, right, 0, v)
-    return arcs[:at] + tuple(zip(left, right)) + arcs[at + v :]
+    """arcs after the unchecked stretch of the arc at index at by v > 1 (see stretch_step)."""
+    # (p, p+2) becomes (p, p+2v) and each (q, q+2) chained after it (q-1, q+1).
+    p = arcs[at][0]
+    slid = tuple(zip(range(p + 1, p + 2 * v - 2, 2), range(p + 3, p + 2 * v, 2)))
+    return arcs[:at] + ((p, p + 2 * v),) + slid + arcs[at + v :]
 
 
 class TraceStep(Frozen):
@@ -211,48 +207,51 @@ class ConstructionTrace(Frozen):
 
     def to_text(self) -> str:
         """One line per step: index, stretched arc, slid arcs, resulting partition."""
-        lines = []
-        for st in self.steps:
-            moved = ", ".join(f"({a[0]},{a[1]})->({b[0]},{b[1]})" for a, b in st.shifted)
-            lines.append(
-                f"step {st.index}: ({st.arc_before[0]},{st.arc_before[1]})"
-                f"->({st.arc_after[0]},{st.arc_after[1]}); shifted {moved or '-'}; "
-                f"{format_partition(from_arcs(st.diagram))}"
-            )
-        return "\n".join(lines)
+        return "\n".join(map(_step_text, self.steps))
 
     def to_json(self) -> str:
         """The same step records as a JSON array."""
-        import json
-
-        records = [
-            {
-                "step": st.index,
-                "before": list(st.arc_before),
-                "after": list(st.arc_after),
-                "shifted": [[list(a), list(b)] for a, b in st.shifted],
-                "partition": format_partition(from_arcs(st.diagram)),
-            }
-            for st in self.steps
-        ]
-        return json.dumps(records)
+        return _trace_json(self.steps)
 
 
-def inverse_trace(s: CatSeq) -> ConstructionTrace:
-    """Run the arc-stretching construction for s, recording every step."""
-    n = len(s.entries)
-    start = initial_diagram(n)
+def _step_text(st: TraceStep) -> str:
+    moved = ", ".join(f"({a[0]},{a[1]})->({b[0]},{b[1]})" for a, b in st.shifted)
+    return (
+        f"step {st.index}: ({st.arc_before[0]},{st.arc_before[1]})"
+        f"->({st.arc_after[0]},{st.arc_after[1]}); shifted {moved or '-'}; "
+        f"{format_partition(from_arcs(st.diagram))}"
+    )
+
+
+def _trace_json(steps) -> str:
+    """The steps' records as the JSON array json.dumps writes, one record at a time."""
+    import json
+
+    records = (
+        {"step": st.index, "before": list(st.arc_before), "after": list(st.arc_after),
+         "shifted": [[list(a), list(b)] for a, b in st.shifted],
+         "partition": format_partition(from_arcs(st.diagram))}
+        for st in steps
+    )
+    return "[" + ", ".join(map(json.dumps, records)) + "]"
+
+
+def _trace_steps(start: ArcDiagram, s: CatSeq):
+    """Each step of the construction for s from start, initial_diagram(n), as it is made."""
     diagram = start
-    steps = []
-    for i in range(1, n + 1):
-        v = s.entries[n - i]
+    for i, v in enumerate(reversed(s.entries), 1):
         before = diagram.arcs
         if v > 1:
             diagram = ArcDiagram._trusted(start.point_count, _stretched(before, i - 1, v))
         after = diagram.arcs
         shifted = tuple(zip(before[i : i + v - 1], after[i : i + v - 1]))
-        steps.append(TraceStep(i, before[i - 1], after[i - 1], shifted, diagram))
-    return ConstructionTrace(start, tuple(steps))
+        yield TraceStep(i, before[i - 1], after[i - 1], shifted, diagram)
+
+
+def inverse_trace(s: CatSeq) -> ConstructionTrace:
+    """Run the arc-stretching construction for s, recording every step."""
+    start = initial_diagram(len(s.entries))
+    return ConstructionTrace(start, tuple(_trace_steps(start, s)))
 
 
 def inverse(s: CatSeq) -> Partition:

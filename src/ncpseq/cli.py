@@ -15,12 +15,17 @@ stops at the first line that fails, with that line's exit code, after
 the results of the lines before it are printed (ahead of its message);
 the rest of stdin is left unread.  A blank line is the n = 0 sequence
 for invert and a parse error (exit 2) for map.
-Listings and stdin streams are written in chunks of lines, one write
-per chunk; enumerate writes the canonical texts the listings give with
-as_text, so no Partition or CatSeq is built per line.
-enumerate warns on stderr before listing above n = LISTING_N_CEILING
-and before counting above n = COUNT_N_CEILING; verify, and check of a
-claim whose work grows with --n-max, warn above its default.
+Output lines are written one chunk per write, a chunk ending at
+_CHUNK_LINES lines or at _WRITE_CHARS characters, whichever comes first;
+enumerate writes the canonical texts the listings give with as_text, so
+no Partition or CatSeq is built per line, and invert --trace writes
+each step as it is made, holding one diagram at a time.  Every warning
+is one stderr line, before the work: enumerate's above n =
+LISTING_N_CEILING (listing) or COUNT_N_CEILING (counting); verify's, and
+check's of a claim whose work grows with --n-max, above its default;
+invert --trace's above TRACE_ELEMENT_CEILING printed elements; render's
+above ASCII_CHAR_CEILING characters of ascii text (lines x width), or
+TRACE_POINT_CEILING points over all the panels of a trace.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
 as a sequence and inverted first, so blank input is the n = 0 sequence
@@ -28,10 +33,7 @@ and draws the single point 1.  From stdin it reads at most
 RENDER_STDIN_LIMIT characters; longer input is a usage error (exit 2).
 Drawing takes time linear in the output and about two copies of it in
 memory: a trace comes back from render_trace as one string, which is
-written in slices so that encoding it adds no third copy.  render warns
-on stderr before drawing ascii text of more than ASCII_CHAR_CEILING
-characters (lines x width), or a trace of more than TRACE_POINT_CEILING
-points over all its panels.
+written in slices so that encoding it adds no third copy.
 
 Imports: at start this module loads only argparse and the package's
 errors, so a call pays for no module its subcommand does not run.  Each
@@ -57,7 +59,6 @@ if TYPE_CHECKING:
     from typing import Callable, Iterable, Iterator, TextIO
 
     from ncpseq.partitions import ArcDiagram
-    from ncpseq.sequences import CatSeq
 
 # The claims check runs, in the order of verify.CLAIM_SUITES, and the
 # default --n-max, verify.DEFAULT_N_CEILING.
@@ -82,8 +83,11 @@ RENDER_STDIN_LIMIT = 1 << 20
 # 61 panels of 241 points.
 ASCII_CHAR_CEILING = 10_000_000
 TRACE_POINT_CEILING = 100_000
+# invert --trace warns before printing n lines of 2n + 1 elements above this (n > 706).
+TRACE_ELEMENT_CEILING = 1_000_000
 # render writes its text in slices of this many characters, so that
-# encoding it never holds a second whole copy.
+# encoding it never holds a second whole copy, and a stdout chunk of
+# lines is written once it holds this many.
 _WRITE_CHARS = 1 << 20
 
 
@@ -153,12 +157,13 @@ class _Failure(Exception):
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line to stdout, _CHUNK_LINES lines per write.
+    """Write each line to stdout, one write per _CHUNK_LINES lines or _WRITE_CHARS characters.
 
     When the lines end in a _Failure, the lines before it are written
     first, so that they come before its message.
     """
     chunk: list[str] = []
+    chars = 0
 
     def flush() -> None:
         if chunk:
@@ -168,8 +173,10 @@ def _write_lines(lines: Iterable[str]) -> None:
     try:
         for line in lines:
             chunk.append(line)
-            if len(chunk) == _CHUNK_LINES:
+            chars += len(line)
+            if len(chunk) == _CHUNK_LINES or chars >= _WRITE_CHARS:
                 flush()
+                chars = 0
     except _Failure:
         flush()
         raise
@@ -187,35 +194,29 @@ def _inputs(text: str | None) -> Iterator[str]:
         yield from physical.splitlines()
 
 
+def _warn_above(size: int, ceiling: int, message: str) -> None:
+    """One "warning: message" line on stderr when size is above ceiling."""
+    if size > ceiling:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_enumerate(ns: argparse.Namespace) -> int:
-    if ns.count_only and ns.n > COUNT_N_CEILING:
-        print(
-            f"warning: n {ns.n} is above the count ceiling "
-            f"{COUNT_N_CEILING}; counting takes about n^3 bit operations "
-            f"and may take a while",
-            file=sys.stderr,
-        )
-    if not ns.count_only and ns.n > LISTING_N_CEILING:
-        print(
-            f"warning: n {ns.n} is above the listing ceiling "
-            f"{LISTING_N_CEILING}; this lists catalan({ns.n}) objects "
-            f"and may take a while",
-            file=sys.stderr,
-        )
     if ns.kind == "special":
-        from ncpseq.oracles import count_special, enumerate_special
-
-        if ns.count_only:
-            print(count_special(ns.n))
-        else:
-            _write_lines(enumerate_special(ns.n, as_text=True))
-        return 0
-    from ncpseq.sequences import count_all, generate_all
-
-    if ns.count_only:
-        print(count_all(ns.n))
+        from ncpseq.oracles import count_special as count, enumerate_special as listing
     else:
-        _write_lines(generate_all(ns.n, as_text=True))
+        from ncpseq.sequences import count_all as count, generate_all as listing
+    if ns.count_only:
+        _warn_above(
+            ns.n, COUNT_N_CEILING, f"n {ns.n} is above the count ceiling {COUNT_N_CEILING}; "
+            "counting takes about n^3 bit operations and may take a while"
+        )
+        print(count(ns.n))
+    else:
+        _warn_above(
+            ns.n, LISTING_N_CEILING, f"n {ns.n} is above the listing ceiling {LISTING_N_CEILING}; "
+            f"this lists catalan({ns.n}) objects and may take a while"
+        )
+        _write_lines(listing(ns.n, as_text=True))
     return 0
 
 
@@ -253,31 +254,37 @@ def cmd_invert(ns: argparse.Namespace) -> int:
 
 
 def _preimages(ns: argparse.Namespace) -> Iterator[str]:
-    from ncpseq.bijection import inverse, inverse_trace
-    from ncpseq.partitions import format_partition
+    from ncpseq.bijection import _step_text, _trace_json, _trace_steps, initial_diagram, inverse
+    from ncpseq.partitions import format_partition, from_arcs
     from ncpseq.sequences import parse_sequence
 
     for text in _inputs(ns.text):
         seq = _parsed(parse_sequence, text, "sequence", 1)
         if not ns.trace:
             yield format_partition(inverse(seq))
-        elif ns.json:
-            yield inverse_trace(seq).to_json()
-        else:
-            trace = inverse_trace(seq)
-            body = trace.to_text()
-            if body:
-                yield body
-            yield format_partition(trace.final_partition())
+            continue
+        n = len(seq.entries)
+        _warn_above(
+            n * (2 * n + 1), TRACE_ELEMENT_CEILING,
+            f"the trace prints {n} steps of {2 * n + 1} elements, above the trace ceiling "
+            f"{TRACE_ELEMENT_CEILING} elements; this may take a while and a lot of memory"
+        )
+        last = initial_diagram(n)
+        steps = _trace_steps(last, seq)
+        if ns.json:
+            yield _trace_json(steps)
+            continue
+        for step in steps:
+            yield _step_text(step)
+            last = step.diagram
+        yield format_partition(from_arcs(last))
 
 
 def _warn_above_n_ceiling(n_max: int) -> None:
-    if n_max > DEFAULT_N_CEILING:
-        print(
-            f"warning: n_max {n_max} is above the default ceiling "
-            f"{DEFAULT_N_CEILING}; this may take a while",
-            file=sys.stderr,
-        )
+    _warn_above(
+        n_max, DEFAULT_N_CEILING,
+        f"n_max {n_max} is above the default ceiling {DEFAULT_N_CEILING}; this may take a while"
+    )
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
@@ -338,7 +345,15 @@ def cmd_render(ns: argparse.Namespace) -> int:
         if ns.trace:
             if ns.fmt != "svg":
                 raise _Failure(2, "--trace renders svg only")
-            _warn_above_trace_ceiling(seq)
+            # A stretch by v > 1 always changes the diagram and v = 1 never
+            # does, so the trace draws the start and one panel per v > 1.
+            panels = 1 + sum(1 for v in seq.entries if v > 1)
+            points = 2 * len(seq.entries) + 1
+            _warn_above(
+                panels * points, TRACE_POINT_CEILING,
+                f"the trace draws {panels} panels of {points} points, above the trace ceiling "
+                f"{TRACE_POINT_CEILING} points; this may take a while and a lot of memory"
+            )
             content = render_trace(inverse_trace(seq))
         else:
             content = _render_diagram(ns.fmt, to_arcs(inverse(seq)))
@@ -358,20 +373,6 @@ def _write_text(fh: TextIO, content: str) -> None:
         fh.write(content[at : at + _WRITE_CHARS])
 
 
-def _warn_above_trace_ceiling(seq: CatSeq) -> None:
-    # A stretch by v > 1 always changes the diagram and v = 1 never
-    # does, so the trace draws the start and one panel per entry above 1.
-    panels = 1 + sum(1 for v in seq.entries if v > 1)
-    points = 2 * len(seq.entries) + 1
-    if panels * points > TRACE_POINT_CEILING:
-        print(
-            f"warning: the trace draws {panels} panels of {points} points, "
-            f"above the trace ceiling {TRACE_POINT_CEILING} points; "
-            f"this may take a while and a lot of memory",
-            file=sys.stderr,
-        )
-
-
 def _render_stdin() -> str:
     text = sys.stdin.read(RENDER_STDIN_LIMIT + 1)
     if len(text) > RENDER_STDIN_LIMIT:
@@ -387,13 +388,11 @@ def _render_diagram(fmt: str, diagram: ArcDiagram) -> str:
     if fmt == "svg":
         return render_svg(diagram)
     lines, width = ascii_shape(diagram)
-    if lines * width > ASCII_CHAR_CEILING:
-        print(
-            f"warning: the drawing is {lines} lines of {width} characters, "
-            f"above the ascii ceiling {ASCII_CHAR_CEILING} characters; "
-            f"this may take a while and a lot of memory",
-            file=sys.stderr,
-        )
+    _warn_above(
+        lines * width, ASCII_CHAR_CEILING,
+        f"the drawing is {lines} lines of {width} characters, above the ascii ceiling "
+        f"{ASCII_CHAR_CEILING} characters; this may take a while and a lot of memory"
+    )
     return render_ascii(diagram) + "\n"
 
 

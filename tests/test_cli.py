@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output, exit codes, pipes, the JSON report."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -141,6 +142,25 @@ def test_enumerate_writes_in_chunks(monkeypatch):
     assert Counting.writes == -(-4862 // ncpseq.cli._CHUNK_LINES)
 
 
+def test_a_line_longer_than_the_write_bound_is_written_at_once(monkeypatch):
+    writes = []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    def lines():
+        yield "x" * 10
+        assert writes == ["x" * 10 + "\n"]
+        yield from ("ab", "cd", "e")
+
+    monkeypatch.setattr(sys, "stdout", Out())
+    monkeypatch.setattr(ncpseq.cli, "_WRITE_CHARS", 4)
+    ncpseq.cli._write_lines(lines())
+    assert writes == ["x" * 10 + "\n", "ab\ncd\n", "e\n"]
+
+
 def test_enumerate_rejects_negative_n(cli):
     code, out, err = cli("enumerate", "--n", "-3")
     assert code == 2
@@ -273,6 +293,77 @@ def test_invert_trace_json(cli):
 
 def test_invert_json_requires_trace(cli):
     assert cli("invert", "1 2", "--json")[0] == 2
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_invert_trace_writes_what_the_library_trace_gives(cli, n):
+    """Text: to_text() and the final partition; --json: to_json(); per member."""
+    members = list(generate_all(n))
+    stdin = "".join(f"{format_sequence(s)}\n" for s in members)
+    text = json_text = ""
+    for s in members:
+        trace = inverse_trace(s)
+        body = trace.to_text()
+        text += (body + "\n" if body else "") + format_partition(trace.final_partition()) + "\n"
+        json_text += trace.to_json() + "\n"
+    assert cli("invert", "--trace", stdin=stdin) == (0, text, "")
+    assert cli("invert", "--trace", "--json", stdin=stdin) == (0, json_text, "")
+
+
+def test_invert_trace_warns_above_the_trace_ceiling(cli, monkeypatch):
+    # n lines of 2n + 1 elements: 706 * 1413 is within the ceiling, 707 * 1415 is not.
+    assert 706 * 1413 <= ncpseq.cli.TRACE_ELEMENT_CEILING < 707 * 1415
+    # Only the warning is under test here, so the steps are left out.
+    monkeypatch.setattr(ncpseq.bijection, "_trace_steps", lambda start, s: iter(()))
+    for flags in ((), ("--json",)):
+        assert cli("invert", "--trace", *flags, " ".join(["1"] * 706))[::2] == (0, "")
+        code, out, err = cli("invert", "--trace", *flags, " ".join(["1"] * 1000))
+        assert (code, err) == (
+            0,
+            "warning: the trace prints 1000 steps of 2001 elements, above the trace ceiling "
+            "1000000 elements; this may take a while and a lot of memory\n",
+        )
+
+
+def test_invert_trace_warns_before_each_input_above_the_ceiling(cli, monkeypatch):
+    stdin = "1 2\n1\n1 1\n"
+    quiet = cli("invert", "--trace", stdin=stdin)
+    monkeypatch.setattr(ncpseq.cli, "TRACE_ELEMENT_CEILING", 9)
+    warning = (
+        "warning: the trace prints 2 steps of 5 elements, above the trace ceiling 9 elements; "
+        "this may take a while and a lot of memory\n"
+    )
+    assert cli("invert", "--trace", stdin=stdin) == (0, quiet[1], 2 * warning)
+
+
+def test_invert_trace_holds_one_diagram_at_a_time(monkeypatch):
+    """The staircase trace at n = 300 is 1.7 MB of text.  Streamed, it peaked at 3.7 MB
+    under tracemalloc; with every diagram built before the first line, at 11.8 MB."""
+    s = CatSeq(tuple(range(1, 301)))
+    trace = inverse_trace(s)
+    want = trace.to_text() + "\n" + format_partition(trace.final_partition()) + "\n"
+    del trace
+
+    class Sink(io.TextIOBase):
+        """A stdout that keeps a digest of what it is given, not the text."""
+
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def write(self, text):
+            self.digest.update(text.encode())
+            return len(text)
+
+    out = Sink()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(["invert", "--trace", format_sequence(s)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.digest.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+    assert peak < 6_000_000
 
 
 def test_pipe_round_trip_in_process(cli):
@@ -757,7 +848,7 @@ def test_exit_code_contract(command, pieces, stdin):
         mock.patch.object(sys, "stdin", io.StringIO(stdin)),
         # A lower default --n-max keeps each verify and check run quick,
         # and puts the warning above it within reach of --n-max 3.
-        mock.patch.object(ncpseq.verify, "DEFAULT_N_CEILING", 2),
+        mock.patch.object(ncpseq.cli, "DEFAULT_N_CEILING", 2),
     ):
         try:
             code = main(argv)
