@@ -211,7 +211,7 @@ class ConstructionTrace(Frozen):
 
     def to_json(self) -> str:
         """The same step records as a JSON array."""
-        return _trace_json(self.steps)
+        return "".join(_trace_json(self.steps))
 
 
 def _step_text(st: TraceStep) -> str:
@@ -223,17 +223,20 @@ def _step_text(st: TraceStep) -> str:
     )
 
 
-def _trace_json(steps) -> str:
-    """The steps' records as the JSON array json.dumps writes, one record at a time."""
+def _trace_json(steps):
+    """The steps' records as the JSON array json.dumps writes, in pieces of one record each."""
     import json
 
-    records = (
-        {"step": st.index, "before": list(st.arc_before), "after": list(st.arc_after),
-         "shifted": [[list(a), list(b)] for a, b in st.shifted],
-         "partition": format_partition(from_arcs(st.diagram))}
-        for st in steps
-    )
-    return "[" + ", ".join(map(json.dumps, records)) + "]"
+    yield "["
+    sep = ""
+    for st in steps:
+        yield sep + json.dumps(
+            {"step": st.index, "before": list(st.arc_before), "after": list(st.arc_after),
+             "shifted": [[list(a), list(b)] for a, b in st.shifted],
+             "partition": format_partition(from_arcs(st.diagram))}
+        )
+        sep = ", "
+    yield "]"
 
 
 def _trace_steps(start: ArcDiagram, s: CatSeq):

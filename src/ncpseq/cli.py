@@ -15,12 +15,14 @@ stops at the first line that fails, with that line's exit code, after
 the results of the lines before it are printed (ahead of its message);
 the rest of stdin is left unread.  A blank line is the n = 0 sequence
 for invert and a parse error (exit 2) for map.
-Output lines are written one chunk per write, a chunk ending at
-_CHUNK_LINES lines or at _WRITE_CHARS characters, whichever comes first;
-enumerate writes the canonical texts the listings give with as_text, so
-no Partition or CatSeq is built per line, and invert --trace writes
-each step as it is made, holding one diagram at a time.  Every warning
-is one stderr line, before the work: enumerate's above n =
+Listings, stdin streams, traces and drawings all go out through one
+writer, _write, one chunk per write, a chunk ending at _CHUNK_LINES
+texts or at _WRITE_CHARS characters, whichever comes first.  enumerate
+writes the canonical texts the listings give with as_text, so no
+Partition or CatSeq is built per line, and invert --trace, text or
+--json, writes each step as it is made, holding one diagram and one
+chunk of text at a time.  Every warning is one stderr line, before the
+work: enumerate's above n =
 LISTING_N_CEILING (listing) or COUNT_N_CEILING (counting); verify's, and
 check's of a claim whose work grows with --n-max, above its default;
 invert --trace's above TRACE_ELEMENT_CEILING printed elements; render's
@@ -32,8 +34,8 @@ as a sequence and inverted first, so blank input is the n = 0 sequence
 and draws the single point 1.  From stdin it reads at most
 RENDER_STDIN_LIMIT characters; longer input is a usage error (exit 2).
 Drawing takes time linear in the output and about two copies of it in
-memory: a trace comes back from render_trace as one string, which is
-written in slices so that encoding it adds no third copy.
+memory: a trace comes back from render_trace as one string, which goes
+to the writer in slices so that encoding it adds no third copy.
 
 Imports: at start this module loads only argparse and the package's
 errors, so a call pays for no module its subcommand does not run.  Each
@@ -86,8 +88,8 @@ TRACE_POINT_CEILING = 100_000
 # invert --trace warns before printing n lines of 2n + 1 elements above this (n > 706).
 TRACE_ELEMENT_CEILING = 1_000_000
 # render writes its text in slices of this many characters, so that
-# encoding it never holds a second whole copy, and a stdout chunk of
-# lines is written once it holds this many.
+# encoding it never holds a second whole copy, and a chunk of texts is
+# written once it holds this many.
 _WRITE_CHARS = 1 << 20
 
 
@@ -156,24 +158,25 @@ class _Failure(Exception):
         self.code = code
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line to stdout, one write per _CHUNK_LINES lines or _WRITE_CHARS characters.
+def _write(fh: TextIO, texts: Iterable[str]) -> None:
+    """Write the texts to fh, one write per _CHUNK_LINES texts or _WRITE_CHARS characters.
 
-    When the lines end in a _Failure, the lines before it are written
-    first, so that they come before its message.
+    Each text carries its own line end, if it has one.  When the texts
+    end in a _Failure, the texts before it are written first, so that
+    they come before its message.
     """
     chunk: list[str] = []
     chars = 0
 
     def flush() -> None:
         if chunk:
-            sys.stdout.write("\n".join(chunk) + "\n")
+            fh.write("".join(chunk))
             chunk.clear()
 
     try:
-        for line in lines:
-            chunk.append(line)
-            chars += len(line)
+        for text in texts:
+            chunk.append(text)
+            chars += len(text)
             if len(chunk) == _CHUNK_LINES or chars >= _WRITE_CHARS:
                 flush()
                 chars = 0
@@ -216,7 +219,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
             ns.n, LISTING_N_CEILING, f"n {ns.n} is above the listing ceiling {LISTING_N_CEILING}; "
             f"this lists catalan({ns.n}) objects and may take a while"
         )
-        _write_lines(listing(ns.n, as_text=True))
+        _write(sys.stdout, (line + "\n" for line in listing(ns.n, as_text=True)))
     return 0
 
 
@@ -240,16 +243,16 @@ def cmd_map(ns: argparse.Namespace) -> int:
         reason = special_violation(part)
         if reason is not None:
             raise _Failure(1, f"not special: {reason}")
-        return format_sequence(forward(part))
+        return format_sequence(forward(part)) + "\n"
 
-    _write_lines(map(image, _inputs(ns.text)))
+    _write(sys.stdout, map(image, _inputs(ns.text)))
     return 0
 
 
 def cmd_invert(ns: argparse.Namespace) -> int:
     if ns.json and not ns.trace:
         raise _Failure(2, "--json needs --trace")
-    _write_lines(_preimages(ns))
+    _write(sys.stdout, _preimages(ns))
     return 0
 
 
@@ -261,7 +264,7 @@ def _preimages(ns: argparse.Namespace) -> Iterator[str]:
     for text in _inputs(ns.text):
         seq = _parsed(parse_sequence, text, "sequence", 1)
         if not ns.trace:
-            yield format_partition(inverse(seq))
+            yield format_partition(inverse(seq)) + "\n"
             continue
         n = len(seq.entries)
         _warn_above(
@@ -272,12 +275,13 @@ def _preimages(ns: argparse.Namespace) -> Iterator[str]:
         last = initial_diagram(n)
         steps = _trace_steps(last, seq)
         if ns.json:
-            yield _trace_json(steps)
+            yield from _trace_json(steps)
+            yield "\n"
             continue
         for step in steps:
-            yield _step_text(step)
+            yield _step_text(step) + "\n"
             last = step.diagram
-        yield format_partition(from_arcs(last))
+        yield format_partition(from_arcs(last)) + "\n"
 
 
 def _warn_above_n_ceiling(n_max: int) -> None:
@@ -357,20 +361,16 @@ def cmd_render(ns: argparse.Namespace) -> int:
             content = render_trace(inverse_trace(seq))
         else:
             content = _render_diagram(ns.fmt, to_arcs(inverse(seq)))
+    slices = (content[at : at + _WRITE_CHARS] for at in range(0, len(content), _WRITE_CHARS))
     if ns.out is None:
-        _write_text(sys.stdout, content)
+        _write(sys.stdout, slices)
         return 0
     try:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            _write_text(fh, content)
+            _write(fh, slices)
     except OSError as exc:
         raise _Failure(3, f"io error: {exc}")
     return 0
-
-
-def _write_text(fh: TextIO, content: str) -> None:
-    for at in range(0, len(content), _WRITE_CHARS):
-        fh.write(content[at : at + _WRITE_CHARS])
 
 
 def _render_stdin() -> str:

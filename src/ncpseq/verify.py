@@ -9,9 +9,11 @@ suite, for running one claim alone.
 
 The cardinality, round-trip and special-structure suites sweep the same
 objects: every special partition of [2n+1] and every member of S_n for
-n = 0..n_max.  run_verify walks each size once into a SizeFixture and
-hands the fixtures to all three; a suite called on its own builds its
-own.  Every object is validated once, when the fixture is built.
+n = 0..n_max.  Each takes them as lists indexed by n, one entry per
+size, and reads its range from their length.  run_verify walks each
+size once and hands the same lists to all three; a CLAIM_SUITES entry
+walks only what its one suite reads, outside the suite's timing.  Every
+object is validated once, when it is walked.
 
 Each fact is then computed once per object.  A partition's special
 verdict is stored on it, so the cardinality count, forward and the
@@ -23,10 +25,9 @@ per distinct sequence.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ncpseq import bijection
-from ncpseq._frozen import Frozen
 from ncpseq.errors import ValidationError
 from ncpseq.oracles import (
     CheckReport,
@@ -49,59 +50,35 @@ MIN_BLOCKS_M_CAP = 13
 MAX_GROUND_B_CAP = 6
 
 
-class SizeFixture(Frozen):
-    """Both sides of the bijection at one size, enumerated once."""
-
-    _fields = ("n", "partitions", "sequences")
-    n: int
-    partitions: tuple[Partition, ...]  # special partitions of [2n+1], canonical order
-    sequences: tuple[CatSeq, ...]  # S_n in generation order
-
-    def __init__(
-        self, n: int, partitions: tuple[Partition, ...], sequences: tuple[CatSeq, ...]
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "partitions", partitions)
-        object.__setattr__(self, "sequences", sequences)
-
-
-def size_fixtures(n_max: int) -> tuple[SizeFixture, ...]:
-    """One fixture for each n = 0..n_max: what the sweeping suites take as fixtures."""
-    return tuple(
-        SizeFixture(n, tuple(enumerate_special(n)), tuple(generate_all(n)))
-        for n in range(n_max + 1)
-    )
-
-
-def _sizes(n_max: int, fixtures: Sequence[SizeFixture] | None) -> Iterator[SizeFixture]:
-    """The fixtures given, or every size's, built when the first is drawn (so timed)."""
-    yield from size_fixtures(n_max) if fixtures is None else fixtures
+def _each_size(listing: Callable[[int], Iterable], n_max: int) -> list[tuple]:
+    """listing(n) for each n = 0..n_max, walked once: what the sweeping suites take."""
+    return [tuple(listing(n)) for n in range(n_max + 1)]
 
 
 def cardinality_suite(
-    n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
+    partitions: Sequence[Sequence[Partition]], sequences: Sequence[Sequence[CatSeq]]
 ) -> CheckReport:
-    """Special partitions, valid sequences, and Catalan agree for n = 0..n_max.
+    """Special partitions, valid sequences, and Catalan agree at each size n.
 
     A partition counts only if it is special, so an enumerator that
     emits anything else fails the claim.
     """
 
-    def one(fx: SizeFixture) -> tuple[int, str | None]:
-        parts = sum(1 for p in fx.partitions if special_violation(p) is None)
-        seqs = len(fx.sequences)
-        want = catalan(fx.n)
+    def one(n: int) -> tuple[int, str | None]:
+        parts = sum(1 for p in partitions[n] if special_violation(p) is None)
+        seqs = len(sequences[n])
+        want = catalan(n)
         if parts == seqs == want:
             return parts + seqs, None
-        return parts + seqs, f"n={fx.n}: {parts} partitions, {seqs} sequences, catalan {want}"
+        return parts + seqs, f"n={n}: {parts} partitions, {seqs} sequences, catalan {want}"
 
-    return _report("cardinality", f"n=0..{n_max}", map(one, _sizes(n_max, fixtures)))
+    return _report("cardinality", f"n=0..{len(partitions) - 1}", map(one, range(len(partitions))))
 
 
 def round_trip_suite(
-    n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
+    partitions: Sequence[Sequence[Partition]], sequences: Sequence[Sequence[CatSeq]]
 ) -> CheckReport:
-    """Both compositions of the maps are the identity for n = 0..n_max.
+    """Both compositions of the maps are the identity at each size n.
 
     forward runs once per partition and inverse once per distinct
     sequence: a sequence already reached as forward(p) with
@@ -109,7 +86,7 @@ def round_trip_suite(
     size stops at its first failure.
     """
 
-    def one(fx: SizeFixture) -> tuple[int, str | None]:
+    def one(n: int) -> tuple[int, str | None]:
         # Looked up through the module so a deliberately broken forward
         # map planted by a test is actually exercised.
         fwd = bijection.forward
@@ -117,9 +94,9 @@ def round_trip_suite(
         # Members of S_n not reached as forward(p) of a partition that
         # round-tripped; the maps are functions of their argument's
         # value, so the reached ones need no second evaluation.
-        pending = {s.entries for s in fx.sequences}
+        pending = {s.entries for s in sequences[n]}
         checked = 0
-        for p in fx.partitions:
+        for p in partitions[n]:
             checked += 1
             try:
                 image = fwd(p)
@@ -131,7 +108,7 @@ def round_trip_suite(
                     f"inverse(forward({format_partition(p)})) = {format_partition(back)}"
                 )
             pending.discard(image.entries)
-        for s in fx.sequences:
+        for s in sequences[n]:
             checked += 1
             if s.entries not in pending:
                 continue
@@ -145,19 +122,14 @@ def round_trip_suite(
                 )
         return checked, None
 
-    return _report("round-trip", f"n=0..{n_max}", map(one, _sizes(n_max, fixtures)))
+    return _report("round-trip", f"n=0..{len(partitions) - 1}", map(one, range(len(partitions))))
 
 
-def special_structure_suite(
-    n_max: int, *, fixtures: Sequence[SizeFixture] | None = None
-) -> CheckReport:
-    """Structural facts about special partitions for n = 0..n_max."""
-    reports = (
-        check_special_structure(n, partitions=None if fixtures is None else fixtures[n].partitions)
-        for n in range(n_max + 1)
-    )
+def special_structure_suite(partitions: Sequence[Sequence[Partition]]) -> CheckReport:
+    """Structural facts about the special partitions at each size n."""
+    reports = (check_special_structure(n, partitions=ps) for n, ps in enumerate(partitions))
     outcomes = ((r.count_checked, r.counterexample) for r in reports)
-    return _report("special-structure", f"n=0..{n_max}", outcomes)
+    return _report("special-structure", f"n=0..{len(partitions) - 1}", outcomes)
 
 
 def floor_sum_suite() -> CheckReport:
@@ -192,13 +164,20 @@ def max_ground_suite(n_max: int) -> CheckReport:
 # their work grows with n_max; the other suites cap their range.
 SWEEPING_CLAIMS = frozenset({"cardinality", "round-trip", "special-structure"})
 
-# Each claim `check` can run, by name, with its suite.  An entry looks
-# its suite up when it is called, so a suite replaced on this module by
-# name (as tracers and tests do) is the one that runs.
+# Each claim `check` can run, by name, with its suite.  An entry walks
+# only what its suite reads, and looks the suite up when it is called,
+# so a suite replaced on this module by name (as tracers and tests do)
+# is the one that runs.
 CLAIM_SUITES: dict[str, Callable[[int], CheckReport]] = {
-    "cardinality": lambda n_max: cardinality_suite(n_max),
-    "round-trip": lambda n_max: round_trip_suite(n_max),
-    "special-structure": lambda n_max: special_structure_suite(n_max),
+    "cardinality": lambda n_max: cardinality_suite(
+        _each_size(enumerate_special, n_max), _each_size(generate_all, n_max)
+    ),
+    "round-trip": lambda n_max: round_trip_suite(
+        _each_size(enumerate_special, n_max), _each_size(generate_all, n_max)
+    ),
+    "special-structure": lambda n_max: special_structure_suite(
+        _each_size(enumerate_special, n_max)
+    ),
     "floor-sum": lambda n_max: floor_sum_suite(),
     "min-blocks": lambda n_max: min_blocks_suite(n_max),
     "max-ground": lambda n_max: max_ground_suite(n_max),
@@ -213,11 +192,12 @@ def run_verify(n_max: int = DEFAULT_N_CEILING) -> dict:
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
-    fixtures = size_fixtures(n_max)
+    partitions = _each_size(enumerate_special, n_max)
+    sequences = _each_size(generate_all, n_max)
     reports = [
-        cardinality_suite(n_max, fixtures=fixtures),
-        round_trip_suite(n_max, fixtures=fixtures),
-        special_structure_suite(n_max, fixtures=fixtures),
+        cardinality_suite(partitions, sequences),
+        round_trip_suite(partitions, sequences),
+        special_structure_suite(partitions),
         floor_sum_suite(),
         min_blocks_suite(n_max),
     ]

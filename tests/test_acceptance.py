@@ -28,7 +28,7 @@ from ncpseq import (
     set_value,
     to_arcs,
 )
-from ncpseq.verify import round_trip_suite, special_structure_suite
+from ncpseq.verify import CLAIM_SUITES
 
 PART_13 = "1,13|2,4,6,12|3|5|7,11|8,10|9"
 
@@ -86,7 +86,7 @@ def test_criterion_3_cardinality_sweep():
 
 def test_criterion_4_exhaustive_round_trips():
     with criterion(4, "both map compositions are the identity for every n <= 9"):
-        report = round_trip_suite(9)
+        report = CLAIM_SUITES["round-trip"](9)
         assert report.passed, report.counterexample
         assert report.count_checked == 2 * sum(catalan(n) for n in range(10))
 
@@ -103,7 +103,7 @@ def test_criterion_5_minimum_block_counts():
 
 def test_criterion_6_structural_facts():
     with criterion(6, "block structure, subpartitions, single piece for n <= 9"):
-        report = special_structure_suite(9)
+        report = CLAIM_SUITES["special-structure"](9)
         assert report.passed, report.counterexample
         assert report.counterexample is None
         assert report.count_checked == sum(catalan(n) for n in range(10))

@@ -142,7 +142,7 @@ def test_enumerate_writes_in_chunks(monkeypatch):
     assert Counting.writes == -(-4862 // ncpseq.cli._CHUNK_LINES)
 
 
-def test_a_line_longer_than_the_write_bound_is_written_at_once(monkeypatch):
+def test_a_text_longer_than_the_write_bound_is_written_at_once(monkeypatch):
     writes = []
 
     class Out(io.StringIO):
@@ -150,14 +150,13 @@ def test_a_line_longer_than_the_write_bound_is_written_at_once(monkeypatch):
             writes.append(text)
             return super().write(text)
 
-    def lines():
-        yield "x" * 10
+    def texts():
+        yield "x" * 10 + "\n"
         assert writes == ["x" * 10 + "\n"]
-        yield from ("ab", "cd", "e")
+        yield from ("ab\n", "cd\n", "e\n")
 
-    monkeypatch.setattr(sys, "stdout", Out())
     monkeypatch.setattr(ncpseq.cli, "_WRITE_CHARS", 4)
-    ncpseq.cli._write_lines(lines())
+    ncpseq.cli._write(Out(), texts())
     assert writes == ["x" * 10 + "\n", "ab\ncd\n", "e\n"]
 
 
@@ -364,6 +363,42 @@ def test_invert_trace_holds_one_diagram_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert out.digest.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
     assert peak < 6_000_000
+
+
+def test_invert_trace_json_arrives_in_pieces(monkeypatch):
+    writes = []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    s = CatSeq(tuple(range(1, 9)))
+    monkeypatch.setattr(sys, "stdout", Out())
+    monkeypatch.setattr(ncpseq.cli, "_WRITE_CHARS", 64)
+    assert main(["invert", "--trace", "--json", format_sequence(s)]) == 0
+    assert len(writes) > 1
+    assert "".join(writes) == inverse_trace(s).to_json() + "\n"
+
+
+def test_invert_trace_json_holds_one_chunk_at_a_time(monkeypatch):
+    """The staircase JSON trace at n = 200 is 0.8 MB.  Written record by record, with
+    64 KB chunks, it peaked at 0.23 MB under tracemalloc; as one string, at 1.7 MB."""
+
+    class Discard(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    monkeypatch.setattr(ncpseq.cli, "_WRITE_CHARS", 1 << 16)
+    argv = ["invert", "--trace", "--json", " ".join(map(str, range(1, 201)))]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_pipe_round_trip_in_process(cli):
@@ -606,6 +641,22 @@ def test_check_runs_the_suite_named_on_the_verify_module(cli, monkeypatch, claim
         f"check {claim} over planted: fail, counterexample planted\n",
         "",
     )
+
+
+def test_check_walks_only_what_its_suite_reads(cli, monkeypatch):
+    sizes = []
+    walk = ncpseq.sequences.generate_all
+
+    def counting_walk(n, **kwargs):
+        sizes.append(n)
+        return walk(n, **kwargs)
+
+    monkeypatch.setattr(ncpseq.sequences, "generate_all", counting_walk)
+    monkeypatch.setattr(ncpseq.verify, "generate_all", counting_walk)
+    assert cli("check", "special-structure", "--n-max", "4")[0] == 0
+    assert sizes == []
+    assert cli("check", "cardinality", "--n-max", "4")[0] == 0
+    assert sizes == [0, 1, 2, 3, 4]
 
 
 def test_check_rejects_unknown_claim():

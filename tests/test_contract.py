@@ -36,7 +36,6 @@ from ncpseq import (
     to_arcs,
 )
 from ncpseq.cli import main
-from ncpseq.verify import size_fixtures
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,14 +103,6 @@ VALUES = [
         "CheckReport(claim='floor-sum', range_checked='n=1..2', passed=False, count_checked=3, "
         "elapsed_ms=1.5, counterexample='1,1')",
         None,
-    ),
-    (
-        "SizeFixture",
-        ("n", "partitions", "sequences"),
-        lambda: size_fixtures(1)[1],
-        "SizeFixture(n=1, partitions=(Partition(ground_size=3, blocks=((1, 3), (2,))),), "
-        "sequences=(CatSeq(entries=(1,)),))",
-        4188275459297482005,
     ),
 ]
 IDS = [v[0] for v in VALUES]

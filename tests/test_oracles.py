@@ -25,20 +25,18 @@ from ncpseq import (
     enumerate_special,
     enumerate_ssp,
     format_partition,
+    generate_all,
     is_special,
     min_ssp_blocks,
     special_violation,
 )
 from ncpseq.verify import (
-    cardinality_suite,
+    CLAIM_SUITES,
     floor_sum_suite,
     max_ground_suite,
     min_blocks_suite,
     round_trip_suite,
     run_verify,
-    SizeFixture,
-    size_fixtures,
-    special_structure_suite,
 )
 from ncpseq.partitions import (
     _gap_blocks,
@@ -411,7 +409,7 @@ def test_check_special_structure_matches_a_memo_free_reference(n, shape, monkeyp
 
 def test_a_refused_gap_shape_gives_the_first_structure_counterexample(monkeypatch):
     monkeypatch.setattr(ncpseq.oracles, "_gap_range", miscounting("1,5|2,4|3"))
-    report = special_structure_suite(6)
+    report = CLAIM_SUITES["special-structure"](6)
     assert not report.passed
     assert report.count_checked == 24
     assert report.counterexample == (
@@ -520,7 +518,7 @@ def test_structure_suite_does_not_call_decompose_pieces(monkeypatch):
 
     monkeypatch.setattr(ncpseq.partitions, "decompose_pieces", forbidden)
     monkeypatch.setattr(ncpseq.oracles, "decompose_pieces", forbidden, raising=False)
-    assert special_structure_suite(6).passed
+    assert CLAIM_SUITES["special-structure"](6).passed
 
 
 def test_round_trip_runs_each_map_once_per_object(monkeypatch):
@@ -533,7 +531,7 @@ def test_round_trip_runs_each_map_once_per_object(monkeypatch):
             return real(x)
 
         monkeypatch.setattr(ncpseq.bijection, name, counted)
-    report = round_trip_suite(6)
+    report = CLAIM_SUITES["round-trip"](6)
     objects = sum(catalan(n) for n in range(7))
     assert report.passed
     assert report.count_checked == 2 * objects
@@ -542,10 +540,10 @@ def test_round_trip_runs_each_map_once_per_object(monkeypatch):
 
 def test_round_trip_checks_the_sequences_no_partition_reached(monkeypatch):
     """A member of S_n missing from the forward images is still inverted."""
-    fixtures = list(size_fixtures(3))
-    fx = fixtures[3]
-    dropped, kept = fx.partitions[0], fx.partitions[1:]
-    fixtures[3] = SizeFixture(3, kept, fx.sequences)
+    partitions = [tuple(enumerate_special(n)) for n in range(4)]
+    sequences = [tuple(generate_all(n)) for n in range(4)]
+    dropped, kept = partitions[3][0], partitions[3][1:]
+    partitions[3] = kept
     real_forward, real_inverse = ncpseq.bijection.forward, ncpseq.bijection.inverse
     orphan, other = real_forward(dropped), real_forward(kept[0])
     monkeypatch.setattr(
@@ -553,11 +551,11 @@ def test_round_trip_checks_the_sequences_no_partition_reached(monkeypatch):
         "inverse",
         lambda s: real_inverse(other if s == orphan else s),
     )
-    report = round_trip_suite(3, fixtures=fixtures)
+    report = round_trip_suite(partitions, sequences)
     assert report.counterexample == (
         f"forward(inverse({format_sequence(orphan)})) = {format_sequence(other)}"
     )
-    assert report.count_checked == 8 + len(kept) + 1 + fx.sequences.index(orphan)
+    assert report.count_checked == 8 + len(kept) + 1 + sequences[3].index(orphan)
 
 
 def test_check_max_ground():
@@ -570,9 +568,9 @@ def test_check_max_ground():
 
 def test_suites_pass_at_small_sizes():
     for report in (
-        cardinality_suite(4),
-        round_trip_suite(4),
-        special_structure_suite(4),
+        CLAIM_SUITES["cardinality"](4),
+        CLAIM_SUITES["round-trip"](4),
+        CLAIM_SUITES["special-structure"](4),
         floor_sum_suite(),
         min_blocks_suite(4),
         max_ground_suite(4),
@@ -624,13 +622,14 @@ def test_run_verify_walks_each_size_once(monkeypatch):
     assert sizes == [0, 1, 2, 3, 4, 5]
 
 
-def test_suites_alone_match_shared_fixtures():
-    fixtures = size_fixtures(4)
-    for suite in (cardinality_suite, round_trip_suite, special_structure_suite):
-        alone = suite(4).to_dict()
-        shared = suite(4, fixtures=fixtures).to_dict()
-        del alone["elapsed_ms"], shared["elapsed_ms"]
-        assert alone == shared
+def test_each_check_claim_matches_its_verify_entry():
+    for n_max in range(5):
+        entries = run_verify(n_max)["checks"]
+        assert len(entries) == 5
+        for entry in entries:
+            alone = CLAIM_SUITES[entry["claim"]](n_max).to_dict()
+            del alone["elapsed_ms"], entry["elapsed_ms"]
+            assert alone == entry
 
 
 def test_run_verify_input_validation():
