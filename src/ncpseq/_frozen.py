@@ -1,23 +1,48 @@
 """The base of the package's immutable value classes.
 
-A subclass names its fields in _fields and sets them in its own
-__init__ with object.__setattr__.  Equality and hashing compare the
-field values, between instances of the same class only, repr lists
-them, and assigning or deleting an attribute raises AttributeError,
-all as a frozen dataclass does.  A copy or a pickle is rebuilt from the
-field values through the class's own constructor.
+A subclass names its fields in _fields and lists them in __slots__, so
+it carries no instance __dict__.  Only Frozen sets the fields, each
+through its slot's descriptor, looked up once per class: __init__ takes
+one value per field, in _fields order, and a subclass constructor that
+checks its arguments ends in super().__init__; the classmethod _trusted
+takes the same values and runs no check and no subclass __init__.
 
-The base has empty __slots__, so a subclass that lists its fields in
-__slots__ carries no instance __dict__; the classes built by the
-thousand (Partition, CatSeq) do.  Anything else a subclass keeps in a
-slot, such as a cached verdict, is invisible to equality, hashing and
-repr.
+Equality and hashing compare the field values, between instances of
+the same class only, repr lists them, and assigning or deleting an
+attribute raises AttributeError, all as a frozen dataclass does.  A
+copy or a pickle is rebuilt from the field values through the class's
+own constructor.  Anything else a subclass keeps in a slot, such as a
+cached verdict, is invisible to equality, hashing and repr.
 """
 
 
 class Frozen:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    # (position, slot setter) of each field, set per class from _fields.
+    _setters: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(enumerate(getattr(cls, name).__set__ for name in cls._fields))
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self._fields)} "
+                            f"field values, got {len(values)}")
+        for i, set_field in self._setters:
+            set_field(self, values[i])
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        """An instance with these field values, with no check.
+
+        Only for values that the calling code has just proved, or that a
+        theorem proves, to be what the class's constructor would store.
+        """
+        self = object.__new__(cls)
+        for i, set_field in cls._setters:
+            set_field(self, values[i])
+        return self
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -76,7 +76,7 @@ Where the checks run:
 from __future__ import annotations
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import StretchError, ValidationError
+from ncpseq.errors import StretchError, ValidationError, _check_size
 from ncpseq.partitions import (
     Arc,
     ArcDiagram,
@@ -104,8 +104,7 @@ def forward(p: Partition) -> CatSeq:
 
 def initial_diagram(n: int) -> ArcDiagram:
     """Chain diagram on 2n+1 points: arcs (1,3),(3,5),..,(2n-1,2n+1)."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _check_size(n, 0, "n must be >= 0")
     # Chained span-2 arcs on distinct points never cross, and come sorted.
     arcs = tuple((2 * i - 1, 2 * i + 1) for i in range(1, n + 1))
     return ArcDiagram._trusted(2 * n + 1, arcs)
@@ -158,38 +157,20 @@ def _stretched(arcs: tuple[Arc, ...], at: int, v: int) -> tuple[Arc, ...]:
 class TraceStep(Frozen):
     """One stretch: which arc grew, what slid underneath, the result."""
 
-    _fields = ("index", "arc_before", "arc_after", "shifted", "diagram")
+    __slots__ = _fields = ("index", "arc_before", "arc_after", "shifted", "diagram")
     index: int
     arc_before: Arc
     arc_after: Arc
     shifted: tuple[tuple[Arc, Arc], ...]
     diagram: ArcDiagram
 
-    def __init__(
-        self,
-        index: int,
-        arc_before: Arc,
-        arc_after: Arc,
-        shifted: tuple[tuple[Arc, Arc], ...],
-        diagram: ArcDiagram,
-    ) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "arc_before", arc_before)
-        object.__setattr__(self, "arc_after", arc_after)
-        object.__setattr__(self, "shifted", shifted)
-        object.__setattr__(self, "diagram", diagram)
-
 
 class ConstructionTrace(Frozen):
     """The inverse construction, one diagram per step plus the start."""
 
-    _fields = ("start", "steps")
+    __slots__ = _fields = ("start", "steps")
     start: ArcDiagram
     steps: tuple[TraceStep, ...]
-
-    def __init__(self, start: ArcDiagram, steps: tuple[TraceStep, ...]) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
 
     def diagrams(self) -> tuple[ArcDiagram, ...]:
         """D_1 .. D_{n+1}: the start diagram, then one result per step."""

@@ -15,18 +15,20 @@ stops at the first line that fails, with that line's exit code, after
 the results of the lines before it are printed (ahead of its message);
 the rest of stdin is left unread.  A blank line is the n = 0 sequence
 for invert and a parse error (exit 2) for map.
-Listings, stdin streams, traces and drawings all go out through one
-writer, _write, one chunk per write, a chunk ending at _CHUNK_LINES
-texts or at _WRITE_CHARS characters, whichever comes first.  enumerate
-writes the canonical texts the listings give with as_text, so no
-Partition or CatSeq is built per line, and invert --trace, text or
---json, writes each step as it is made, holding one diagram and one
+Stdin streams, traces and drawings all go out through one writer,
+_write, one chunk per write, a chunk ending at _CHUNK_LINES texts or at
+_WRITE_CHARS characters, whichever comes first.  enumerate writes the
+canonical texts the listings give with as_text, so no Partition or
+CatSeq is built per line, and joins each batch of _CHUNK_LINES texts
+once, one write per batch: its lines are short and no failure can
+follow them, so it needs no more of the writer.  invert --trace, text
+or --json, writes each step as it is made, holding one diagram and one
 chunk of text at a time.  Every warning is one stderr line, before the
-work: enumerate's above n =
-LISTING_N_CEILING (listing) or COUNT_N_CEILING (counting); verify's, and
-check's of a claim whose work grows with --n-max, above its default;
-invert --trace's above TRACE_ELEMENT_CEILING printed elements; render's
-above ASCII_CHAR_CEILING characters of ascii text (lines x width), or
+work: enumerate's above n = LISTING_N_CEILING (listing) or
+COUNT_N_CEILING (counting); verify's, and check's of a claim whose work
+grows with --n-max, above its default; invert --trace's above
+TRACE_ELEMENT_CEILING printed elements; render's above
+ASCII_CHAR_CEILING characters of ascii text (lines x width), or
 TRACE_POINT_CEILING points over all the panels of a trace.
 render takes a single input and decides what it is: text containing
 "," or "|" (or a lone token) is a partition, anything else is treated
@@ -51,6 +53,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from ncpseq import __version__
 from ncpseq.errors import ParseError, ValidationError
@@ -219,7 +222,9 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
             ns.n, LISTING_N_CEILING, f"n {ns.n} is above the listing ceiling {LISTING_N_CEILING}; "
             f"this lists catalan({ns.n}) objects and may take a while"
         )
-        _write(sys.stdout, (line + "\n" for line in listing(ns.n, as_text=True)))
+        lines = listing(ns.n, as_text=True)
+        while batch := list(islice(lines, _CHUNK_LINES)):
+            sys.stdout.write("\n".join(batch) + "\n")
     return 0
 
 

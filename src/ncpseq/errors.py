@@ -1,4 +1,4 @@
-"""Shared exception types for parse and validation failures."""
+"""Shared exception types, and the one check of a public size argument."""
 
 
 class ParseError(ValueError):
@@ -11,3 +11,11 @@ class ValidationError(ValueError):
 
 class StretchError(ValidationError):
     """An arc-stretching step met a diagram without the required shape."""
+
+
+def _check_size(value: object, least: int, message: str) -> None:
+    """ValidationError unless value is an int, not a bool; message when it is below least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"size {value!r} is not an integer")
+    if value < least:
+        raise ValidationError(message)

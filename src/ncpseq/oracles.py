@@ -16,8 +16,9 @@ from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ValidationError
+from ncpseq.errors import ValidationError, _check_size
 from ncpseq.partitions import (
+    Block,
     Partition,
     _gap_range,
     _join_block_texts,
@@ -28,8 +29,7 @@ from ncpseq.partitions import (
 
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1), exact."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _check_size(n, 0, "n must be >= 0")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -44,22 +44,25 @@ def enumerate_special(n: int, *, as_text: bool = False) -> Iterator[Partition] |
     text, and the texts are sorted, with no Partition or block tuple
     built.
     """
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _check_size(n, 0, "n must be >= 0")
     m = 2 * n + 1
     if as_text:
         texts = kernels.special_partitions(n, [str(x) for x in range(m + 1)], _join_block_texts)
         texts.sort()
         return iter(texts)
-    parts = [Partition._trusted(m, blocks) for blocks in kernels.special_partitions(n)]
+    return _sorted_partitions(m, kernels.special_partitions(n))
+
+
+def _sorted_partitions(m: int, leaves: Iterable[tuple[Block, ...]]) -> Iterator[Partition]:
+    """A walk's canonical blocks of [m], wrapped unchecked, in canonical text order."""
+    parts = [Partition._trusted(m, blocks) for blocks in leaves]
     parts.sort(key=format_partition)
     return iter(parts)
 
 
 def count_special(n: int) -> int:
     """Number of special partitions of [2n+1], counted without a walk."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _check_size(n, 0, "n must be >= 0")
     return kernels.count_special_partitions(n)
 
 
@@ -68,17 +71,13 @@ def enumerate_ssp(m: int) -> Iterator[Partition]:
 
     Wrapped as built, as in enumerate_special.
     """
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    parts = [Partition._trusted(m, blocks) for blocks in kernels.ssp_partitions(m)]
-    parts.sort(key=format_partition)
-    return iter(parts)
+    _check_size(m, 1, "m must be >= 1")
+    return _sorted_partitions(m, kernels.ssp_partitions(m))
 
 
 def count_ssp(m: int) -> int:
     """Number of semi-special partitions of [m], counted without a walk."""
-    if m < 1:
-        raise ValidationError("m must be >= 1")
+    _check_size(m, 1, "m must be >= 1")
     return kernels.count_ssp_partitions(m)
 
 
@@ -89,15 +88,14 @@ def min_ssp_blocks(m: int) -> int:
     the answer is floor(m/2) + 1, and the checks compare against exactly
     that.
     """
-    if m < 1:
-        raise ValidationError("m must be >= 1")
+    _check_size(m, 1, "m must be >= 1")
     return kernels.ssp_min_blocks(m)
 
 
 class Composition(Frozen):
     """An ordered list of positive parts; n is their sum."""
 
-    _fields = ("parts",)
+    __slots__ = _fields = ("parts",)
     parts: tuple[int, ...]
 
     def __init__(self, parts: tuple[int, ...]) -> None:
@@ -107,7 +105,7 @@ class Composition(Frozen):
         for x in parts:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise ValidationError(f"part {x!r} is not a positive integer")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.parts)
@@ -123,8 +121,7 @@ def compositions(n: int) -> Iterator[Composition]:
     Each is a choice, after each of the positions 1..n-1, to cut there
     or not; cutting first gives the smaller part first.
     """
-    if n < 1:
-        raise ValidationError("compositions need n >= 1")
+    _check_size(n, 1, "compositions need n >= 1")
 
     def parts(cuts: tuple[bool, ...]) -> tuple[int, ...]:
         out = [1]
@@ -147,7 +144,7 @@ def check_floor_sum(c: Composition) -> bool:
 class CheckReport(Frozen):
     """Outcome of one exhaustive claim check."""
 
-    _fields = (
+    __slots__ = _fields = (
         "claim", "range_checked", "passed", "count_checked", "elapsed_ms", "counterexample"
     )
     claim: str
@@ -168,12 +165,7 @@ class CheckReport(Frozen):
     ) -> None:
         if not passed and counterexample is None:
             raise ValidationError("failing reports must carry a counterexample")
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "range_checked", range_checked)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "count_checked", count_checked)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
-        object.__setattr__(self, "counterexample", counterexample)
+        super().__init__(claim, range_checked, passed, count_checked, elapsed_ms, counterexample)
 
     def to_dict(self) -> dict:
         """JSON layout: claim, range, status, counterexample?, count_checked, elapsed_ms."""
@@ -273,8 +265,7 @@ def check_max_ground(b: int) -> bool:
     Confirms that [2b+1] reaches block count b+1 exactly and that
     neither [2b+2] nor [2b+3] admits any SSP with b+1 blocks or fewer.
     """
-    if b < 0:
-        raise ValidationError("b must be >= 0")
+    _check_size(b, 0, "b must be >= 0")
     if min_ssp_blocks(2 * b + 1) != b + 1:
         return False
     return all(min_ssp_blocks(2 * b + 1 + extra) > b + 1 for extra in (1, 2))

@@ -24,7 +24,7 @@ Where each check runs:
 
 * The Partition constructor sorts and checks any blocks it is given.
   Code that has just proved its blocks a canonical partition wraps them
-  with Partition._trusted instead, unchecked.
+  with Partition._trusted (see ncpseq._frozen) instead, unchecked.
 * parse_partition reads the text in one step, sorts the blocks, and
   wraps them unchecked when their elements are exactly 1..m: then they
   cover 1..m once each and, sorted, are canonical.  Text it cannot read
@@ -32,10 +32,12 @@ Where each check runs:
   token and go through the checked constructor, which names the first
   fault.  Nothing is sized by the largest element before that test.
 * The special verdict is computed once per object: special_violation
-  stores its answer in a slot of the instance that is not a field, so
-  equality, hashing and repr do not see it, and the frozen __setattr__
-  keeps it from being set from outside.  Only when is_semi_special
-  fails do the checks run one by one, to name the first that breaks.
+  stores its answer in a slot of the instance that is not a field and
+  that no constructor sets, so equality, hashing and repr do not see
+  it, and the frozen __setattr__ keeps it from being set from outside;
+  until then the unset slot reads as _UNCHECKED.  Only when
+  is_semi_special fails do the checks run one by one, to name the
+  first that breaks.
 * A Partition holds its fields and that verdict in __slots__, with no
   instance __dict__, and the walk behind enumerate_special gives equal
   blocks of different partitions as one tuple (see
@@ -67,7 +69,8 @@ Arc = tuple[int, int]
 BLOCK_SEP = "|"
 ELEMENT_SEP = ","
 
-# What a Partition's verdict slot holds until special_violation first runs.
+# What a Partition's verdict slot reads as until special_violation first
+# stores it: no constructor sets it.
 _UNCHECKED = object()
 
 
@@ -82,22 +85,7 @@ class Partition(Frozen):
     def __init__(self, ground_size: int, blocks: tuple[Block, ...]) -> None:
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         _check_partition(ground_size, blocks)
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_special_verdict", _UNCHECKED)
-
-    @classmethod
-    def _trusted(cls, ground_size: int, blocks: tuple[Block, ...]) -> Partition:
-        """Wrap canonical blocks without sorting or checking them.
-
-        Only for blocks that the calling code has just proved to be a
-        canonical partition of {1..ground_size}.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_special_verdict", _UNCHECKED)
-        return self
+        super().__init__(ground_size, blocks)
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -262,8 +250,8 @@ def special_violation(p: Partition) -> str | None:
     checks run on the first call for p; later calls return that answer.
     """
     # Not a field: the answer goes in its own slot, past the frozen
-    # __setattr__, which every constructor fills with _UNCHECKED.
-    verdict = p._special_verdict
+    # __setattr__, and the slot stays unset until then.
+    verdict = getattr(p, "_special_verdict", _UNCHECKED)
     if verdict is _UNCHECKED:
         verdict = _special_checks(p)
         object.__setattr__(p, "_special_verdict", verdict)
@@ -368,27 +356,14 @@ def _gap_blocks(blocks: tuple[Block, ...], lo: int, hi: int) -> tuple[Block, ...
 class ArcDiagram(Frozen):
     """Arcs (left, right) over points 1..point_count, sorted by left end."""
 
-    _fields = ("point_count", "arcs")
+    __slots__ = _fields = ("point_count", "arcs")
     point_count: int
     arcs: tuple[Arc, ...]
 
     def __init__(self, point_count: int, arcs: tuple[Arc, ...]) -> None:
         arcs = tuple(sorted(tuple(a) for a in arcs))
         _check_arcs(point_count, arcs)
-        object.__setattr__(self, "point_count", point_count)
-        object.__setattr__(self, "arcs", arcs)
-
-    @classmethod
-    def _trusted(cls, point_count: int, arcs: tuple[Arc, ...]) -> ArcDiagram:
-        """Wrap arcs without sorting or checking them.
-
-        Only for arcs that the calling code has just proved to be a valid
-        diagram on 1..point_count, sorted by left end.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "point_count", point_count)
-        object.__setattr__(self, "arcs", arcs)
-        return self
+        super().__init__(point_count, arcs)
 
 
 def _check_arcs(m: int, arcs: tuple[Arc, ...]) -> None:

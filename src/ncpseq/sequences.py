@@ -31,11 +31,11 @@ the run completable, and distinct choice runs give distinct sequences.
 Text form: space-separated ASCII decimal integers; the empty string is the
 unique n = 0 sequence.  parse_sequence reads the text in one step, or
 token by token when that fails, to name the first bad token; membership
-is then checked once, by CatSeq.  CatSeq._trusted wraps entries with no
-check, for code that has proved them a member: forward's images and
-the walk's listing.  generate_all and count_all import the kernels
-when they run, so code that only parses or formats sequences never
-loads them.
+is then checked once, by CatSeq.  CatSeq._trusted (see ncpseq._frozen)
+wraps entries with no check, for code that has proved them a member:
+forward's images and the walk's listing.  generate_all and count_all
+import the kernels when they run, so code that only parses or formats
+sequences never loads them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ParseError, ValidationError
+from ncpseq.errors import ParseError, ValidationError, _check_size
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -95,8 +95,7 @@ def validate_sequence(entries: Sequence[int]) -> bool:
 class CatSeq(Frozen):
     """A member of S_n; construction rejects anything else."""
 
-    __slots__ = ("entries",)
-    _fields = ("entries",)
+    __slots__ = _fields = ("entries",)
     entries: tuple[int, ...]
 
     def __init__(self, entries: tuple[int, ...]) -> None:
@@ -104,18 +103,7 @@ class CatSeq(Frozen):
         reason = sequence_violation(entries)
         if reason is not None:
             raise ValidationError(reason)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> CatSeq:
-        """Wrap entries without checking them.
-
-        Only for entries that the calling code has just proved, or that
-        a theorem proves, to be a member of S_n.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        return self
+        super().__init__(entries)
 
     def __str__(self) -> str:
         return format_sequence(self)
@@ -173,7 +161,7 @@ class GoverningState(Frozen):
     and the chosen value at set ones.
     """
 
-    _fields = ("values", "bounds", "cursor")
+    __slots__ = _fields = ("values", "bounds", "cursor")
     values: tuple[int, ...]
     bounds: tuple[int, ...]
     cursor: int
@@ -185,20 +173,13 @@ class GoverningState(Frozen):
             raise ValidationError("state lengths and cursor do not agree")
         if any(v != 1 for v in values[:cursor]):
             raise ValidationError("unset positions must hold the placeholder 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "cursor", cursor)
+        super().__init__(values, bounds, cursor)
 
     @classmethod
     def initial(cls, n: int) -> GoverningState:
         """All-ones values, bounds 1..n, cursor at position n."""
-        if n < 0:
-            raise ValidationError("n must be >= 0")
+        _check_size(n, 0, "n must be >= 0")
         return cls((1,) * n, tuple(range(1, n + 1)), n)
-
-    @property
-    def length(self) -> int:
-        return len(self.values)
 
     @property
     def is_complete(self) -> bool:
@@ -264,8 +245,7 @@ def generate_all(n: int, *, as_text: bool = False) -> Iterator[CatSeq] | Iterato
     sequence_violation scans, so it lists members only, each once (see
     ncpseq._kernels_py).
     """
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _check_size(n, 0, "n must be >= 0")
     from ncpseq._backend import kernels
 
     if not as_text:
@@ -279,8 +259,7 @@ def generate_all(n: int, *, as_text: bool = False) -> Iterator[CatSeq] | Iterato
 
 def count_all(n: int) -> int:
     """|S_n|, counted without a walk (see ncpseq._kernels_py)."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _check_size(n, 0, "n must be >= 0")
     from ncpseq._backend import kernels
 
     return kernels.count_catalan_sequences(n)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from ncpseq import bijection
-from ncpseq.errors import ValidationError
+from ncpseq.errors import ValidationError, _check_size
 from ncpseq.oracles import (
     CheckReport,
     _report,
@@ -190,8 +190,7 @@ def run_verify(n_max: int = DEFAULT_N_CEILING) -> dict:
     The special partitions and S_n are walked once per size and shared
     by the three suites that sweep them.
     """
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
+    _check_size(n_max, 0, "n_max must be >= 0")
     partitions = _each_size(enumerate_special, n_max)
     sequences = _each_size(generate_all, n_max)
     reports = [

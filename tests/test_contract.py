@@ -25,6 +25,7 @@ from ncpseq import (
     Composition,
     GoverningState,
     Partition,
+    ValidationError,
     enumerate_special,
     forward,
     generate_all,
@@ -171,6 +172,57 @@ def test_partitions_and_sequences_carry_no_instance_dict():
         if isinstance(obj, Partition):
             special_violation(obj)  # fills the verdict slot
         assert not hasattr(obj, "__dict__"), repr(obj)
+
+
+# The six classes whose constructors check their fields; the other two,
+# TraceStep and ConstructionTrace, are built by position by the bijection.
+CHECKED = [v for v in VALUES if v[0] not in ("TraceStep", "ConstructionTrace")]
+
+
+@pytest.mark.parametrize("name, fields, build, text, digest", CHECKED, ids=[v[0] for v in CHECKED])
+def test_checked_constructors_take_every_field_by_keyword(name, fields, build, text, digest):
+    obj = build()
+    assert type(obj)(**{f: getattr(obj, f) for f in fields}) == obj
+
+
+def test_built_by_position_values_take_exactly_one_value_per_field():
+    trace = inverse_trace(CatSeq((1, 2)))
+    for obj in (trace.steps[0], trace):
+        cls, values = type(obj), tuple(getattr(obj, f) for f in obj._fields)
+        assert cls(*values) == obj
+        for wrong in (values[:-1], (*values, None)):
+            want = f"{cls.__name__} takes {len(values)} field values, got {len(wrong)}"
+            with pytest.raises(TypeError, match=want):
+                cls(*wrong)
+
+
+# Each public entry that takes a size: how to call it, the least size it
+# takes, and its message for the size below that.
+SIZED = {
+    "catalan": (ncpseq.catalan, 0, "n must be >= 0"),
+    "enumerate_special": (ncpseq.enumerate_special, 0, "n must be >= 0"),
+    "count_special": (ncpseq.count_special, 0, "n must be >= 0"),
+    "enumerate_ssp": (ncpseq.enumerate_ssp, 1, "m must be >= 1"),
+    "count_ssp": (ncpseq.count_ssp, 1, "m must be >= 1"),
+    "min_ssp_blocks": (ncpseq.min_ssp_blocks, 1, "m must be >= 1"),
+    "compositions": (ncpseq.compositions, 1, "compositions need n >= 1"),
+    "check_max_ground": (ncpseq.check_max_ground, 0, "b must be >= 0"),
+    "generate_all": (lambda n: next(ncpseq.generate_all(n)), 0, "n must be >= 0"),
+    "count_all": (ncpseq.count_all, 0, "n must be >= 0"),
+    "GoverningState.initial": (GoverningState.initial, 0, "n must be >= 0"),
+    "initial_diagram": (ncpseq.initial_diagram, 0, "n must be >= 0"),
+    "run_verify": (ncpseq.run_verify, 0, "n_max must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SIZED))
+def test_every_public_size_is_an_int(entry, value):
+    call, least, message = SIZED[entry]
+    for size, want in ((value, f"size {value!r} is not an integer"), (least - 1, message)):
+        with pytest.raises(ValidationError) as raised:
+            call(size)
+        assert str(raised.value) == want
 
 
 PUBLIC = [
