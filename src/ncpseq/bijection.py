@@ -124,6 +124,8 @@ def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
     """
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise StretchError(f"stretch width {v!r} is not a positive integer")
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise StretchError(f"arc index {i!r} is not an integer")
     arcs = d.arcs
     if not 1 <= i <= len(arcs):
         raise StretchError(f"no arc {i} in a diagram with {len(arcs)} arcs")

@@ -5,13 +5,19 @@ count the same walks by dynamic programming; neither consults the
 bijection, so they can referee it.  The checks re-derive each
 structural fact by direct search over a full enumeration range and
 report the first counterexample in canonical text, smallest first.
+
+The public listings come in canonical text order.  A sweep that only
+needs every special partition once takes them in the walk's order from
+_special_walk instead, with no text formatted to sort them; its caller
+sweeps a failing size again in canonical order, which is the order
+that picks the counterexample to report (see ncpseq.verify).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
@@ -20,7 +26,6 @@ from ncpseq.errors import ValidationError, _check_size
 from ncpseq.partitions import (
     Block,
     Partition,
-    _gap_range,
     _join_block_texts,
     format_partition,
     special_violation,
@@ -45,19 +50,22 @@ def enumerate_special(n: int, *, as_text: bool = False) -> Iterator[Partition] |
     built.
     """
     _check_size(n, 0, "n must be >= 0")
-    m = 2 * n + 1
     if as_text:
+        m = 2 * n + 1
         texts = kernels.special_partitions(n, [str(x) for x in range(m + 1)], _join_block_texts)
         texts.sort()
         return iter(texts)
-    return _sorted_partitions(m, kernels.special_partitions(n))
+    return iter(sorted(_special_walk(n), key=format_partition))
 
 
-def _sorted_partitions(m: int, leaves: Iterable[tuple[Block, ...]]) -> Iterator[Partition]:
-    """A walk's canonical blocks of [m], wrapped unchecked, in canonical text order."""
-    parts = [Partition._trusted(m, blocks) for blocks in leaves]
-    parts.sort(key=format_partition)
-    return iter(parts)
+def _special_walk(n: int) -> list[Partition]:
+    """The special partitions of [2n+1] in the walk's order, wrapped unchecked.
+
+    Unsorted, for the sweeps that check every one and sort only a size
+    that fails (see enumerate_special).
+    """
+    m = 2 * n + 1
+    return [Partition._trusted(m, blocks) for blocks in kernels.special_partitions(n)]
 
 
 def count_special(n: int) -> int:
@@ -72,7 +80,8 @@ def enumerate_ssp(m: int) -> Iterator[Partition]:
     Wrapped as built, as in enumerate_special.
     """
     _check_size(m, 1, "m must be >= 1")
-    return _sorted_partitions(m, kernels.ssp_partitions(m))
+    parts = [Partition._trusted(m, blocks) for blocks in kernels.ssp_partitions(m)]
+    return iter(sorted(parts, key=format_partition))
 
 
 def count_ssp(m: int) -> int:
@@ -202,34 +211,46 @@ def _report(
 
 
 def _structure_violation(p: Partition, top: int) -> str | None:
-    if p.blocks[0][-1] != top:
+    blocks = p.blocks
+    if blocks[0][-1] != top:
         return f"1 and {top} in different blocks"
-    for b in p.blocks:
-        for x, y in zip(b, b[1:]):
-            if (y - x) % 2:
-                return f"odd gap between {x} and {y}"
-    # The gap count below rests on p being special, so that check
-    # comes first.
-    reason = special_violation(p)
-    if reason is not None:
-        return f"not special ({reason})"
     # Each subpartition is judged by its block count, with none built.
     # The blocks strictly between consecutive elements lo < hi of a
     # block are whole blocks of p, since p is non-crossing.  Relabelled,
     # they stay non-crossing with no consecutive pair in a block, on the
-    # ground set [hi-lo-1], odd by the gap check above.  So they form a
+    # ground set [hi-lo-1], odd by the gap check.  So they form a
     # special partition exactly when they are (hi - lo) / 2 blocks.
-    blocks = p.blocks
+    # They are the blocks whose least element lies in (lo, hi), and hi
+    # is the least element of none, so one prefix count of the least
+    # elements gives every gap's count by a subtraction.
+    opened = _opened_counts(blocks, p.ground_size)
+    short = None
     for bi, b in enumerate(blocks, start=1):
-        for gi in range(1, len(b)):
-            lo, hi = b[gi - 1], b[gi]
-            first, stop = _gap_range(blocks, lo, hi)
-            if stop - first != (hi - lo) // 2:
-                return f"subpartition at block {bi}, gap {gi} is not special"
+        lo = b[0]
+        for hi in b[1:]:
+            if (hi - lo) % 2:
+                return f"odd gap between {lo} and {hi}"
+            if short is None and opened[hi] - opened[lo] != (hi - lo) // 2:
+                # Gap gi is the one between b[gi - 1] and b[gi].
+                short = f"subpartition at block {bi}, gap {b.index(hi)} is not special"
+            lo = hi
+    # The gap count rests on p being special, so the first short gap is
+    # reported only after the special check.
+    reason = special_violation(p)
+    if reason is not None:
+        return f"not special ({reason})"
     # The piece decomposition is a single piece, with nothing to check:
     # the first block holds 1 and 2n+1, so every other block starts
     # under its span and joins the piece it opens.
-    return None
+    return short
+
+
+def _opened_counts(blocks: tuple[Block, ...], m: int) -> list[int]:
+    """opened[x] for x = 0..m: how many of the blocks of [m] have their least element at most x."""
+    starts = [0] * (m + 1)
+    for b in blocks:
+        starts[b[0]] = 1
+    return list(accumulate(starts))
 
 
 def check_special_structure(
@@ -240,12 +261,15 @@ def check_special_structure(
     For each one: 1 and 2n+1 share a block; consecutive elements of a
     block differ by an even amount; every subpartition is special.  The
     piece decomposition is then a single piece, which needs no check
-    (see _structure_violation).  partitions, when given, is
-    the enumeration of size n to check instead of walking it again.
+    (see _structure_violation).  partitions, when given, is the
+    enumeration of size n to check instead of walking it again, and the
+    counterexample is the first failure in its order.
 
     A subpartition is judged by counting its blocks in the parent, with
     no partition built: the parent passed the special check first, so
-    the count is all that is left to decide (see _structure_violation).
+    the count is all that is left to decide.  One prefix count of the
+    parent's least elements gives every gap's count by a subtraction
+    (see _structure_violation).
     """
 
     def outcomes() -> Iterator[tuple[int, str | None]]:

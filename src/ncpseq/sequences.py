@@ -169,6 +169,7 @@ class GoverningState(Frozen):
     def __init__(self, values: tuple[int, ...], bounds: tuple[int, ...], cursor: int) -> None:
         values = tuple(values)
         bounds = tuple(bounds)
+        _check_cursor(cursor)
         if len(bounds) != len(values) or not 0 <= cursor <= len(values):
             raise ValidationError("state lengths and cursor do not agree")
         if any(v != 1 for v in values[:cursor]):
@@ -190,6 +191,12 @@ class GoverningState(Frozen):
         if not self.is_complete:
             raise ValidationError(f"{self.cursor} positions are still unset")
         return CatSeq(self.values)
+
+
+def _check_cursor(cursor: object) -> None:
+    """ValidationError unless cursor is an int, not a bool."""
+    if not isinstance(cursor, int) or isinstance(cursor, bool):
+        raise ValidationError(f"cursor {cursor!r} is not an integer")
 
 
 def set_value(state: GoverningState, m: int) -> GoverningState:
@@ -220,8 +227,12 @@ def bounds_from_scratch(values: Sequence[int], cursor: int) -> tuple[int, ...]:
     """Bounds recomputed from their definition, ignoring any running state.
 
     Reference used to cross-check the incremental updates in set_value.
+    Raises ValidationError unless cursor is an int in 0..len(values).
     """
     n = len(values)
+    _check_cursor(cursor)
+    if not 0 <= cursor <= n:
+        raise ValidationError(f"cursor {cursor} is outside 0..{n}")
     out = []
     for q in range(1, n + 1):
         if q > cursor:

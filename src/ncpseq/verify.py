@@ -15,12 +15,21 @@ size once and hands the same lists to all three; a CLAIM_SUITES entry
 walks only what its one suite reads, outside the suite's timing.  Every
 object is validated once, when it is walked.
 
+The partitions come in the walk's order, with no text formatted to sort
+them.  A failure reports the smallest counterexample in canonical text
+order, so a size where the round-trip or special-structure sweep fails
+is swept again in that order, and the suite reports what the second
+sweep finds (_first_in_canonical_order); a passing size is swept once.
+The sequences need no second sweep: the walk lists S_n in lexicographic
+order, their canonical order.
+
 Each fact is then computed once per object.  A partition's special
 verdict is stored on it, so the cardinality count, forward and the
 structure check share one computation; the structure check judges each
-gap by counting the parent's blocks in it, with no partition built; and
-the round-trip suite runs forward once per partition and inverse once
-per distinct sequence.
+gap by counting the parent's blocks in it, from one prefix count of the
+parent's least elements, with no partition built; and the round-trip
+suite runs forward once per partition and inverse once per distinct
+sequence.
 """
 
 from __future__ import annotations
@@ -32,12 +41,12 @@ from ncpseq.errors import ValidationError, _check_size
 from ncpseq.oracles import (
     CheckReport,
     _report,
+    _special_walk,
     catalan,
     check_floor_sum,
     check_max_ground,
     check_special_structure,
     compositions,
-    enumerate_special,
     format_partition,
     min_ssp_blocks,
 )
@@ -53,6 +62,23 @@ MAX_GROUND_B_CAP = 6
 def _each_size(listing: Callable[[int], Iterable], n_max: int) -> list[tuple]:
     """listing(n) for each n = 0..n_max, walked once: what the sweeping suites take."""
     return [tuple(listing(n)) for n in range(n_max + 1)]
+
+
+def _first_in_canonical_order(
+    sweep: Callable[..., tuple[int, str | None]], parts: Sequence[Partition], *rest: object
+) -> tuple[int, str | None]:
+    """sweep(parts, *rest) over one size, as if parts came in canonical text order.
+
+    sweep gives (objects checked, first failure or None) in the order of
+    parts.  A passing sweep passes in any order, with every object
+    checked; a failing one is run again with parts sorted, so the
+    failure and the count checked up to it are those of the smallest
+    counterexample.
+    """
+    outcome = sweep(parts, *rest)
+    if outcome[1] is None:
+        return outcome
+    return sweep(sorted(parts, key=format_partition), *rest)
 
 
 def cardinality_suite(
@@ -83,10 +109,10 @@ def round_trip_suite(
     forward runs once per partition and inverse once per distinct
     sequence: a sequence already reached as forward(p) with
     inverse(forward(p)) == p passes without being mapped again.  Each
-    size stops at its first failure.
+    size stops at its first failure, in canonical order.
     """
 
-    def one(n: int) -> tuple[int, str | None]:
+    def sweep(parts: Sequence[Partition], seqs: Sequence[CatSeq]) -> tuple[int, str | None]:
         # Looked up through the module so a deliberately broken forward
         # map planted by a test is actually exercised.
         fwd = bijection.forward
@@ -94,9 +120,9 @@ def round_trip_suite(
         # Members of S_n not reached as forward(p) of a partition that
         # round-tripped; the maps are functions of their argument's
         # value, so the reached ones need no second evaluation.
-        pending = {s.entries for s in sequences[n]}
+        pending = {s.entries for s in seqs}
         checked = 0
-        for p in partitions[n]:
+        for p in parts:
             checked += 1
             try:
                 image = fwd(p)
@@ -108,7 +134,7 @@ def round_trip_suite(
                     f"inverse(forward({format_partition(p)})) = {format_partition(back)}"
                 )
             pending.discard(image.entries)
-        for s in sequences[n]:
+        for s in seqs:
             checked += 1
             if s.entries not in pending:
                 continue
@@ -122,13 +148,21 @@ def round_trip_suite(
                 )
         return checked, None
 
-    return _report("round-trip", f"n=0..{len(partitions) - 1}", map(one, range(len(partitions))))
+    outcomes = (
+        _first_in_canonical_order(sweep, partitions[n], sequences[n])
+        for n in range(len(partitions))
+    )
+    return _report("round-trip", f"n=0..{len(partitions) - 1}", outcomes)
 
 
 def special_structure_suite(partitions: Sequence[Sequence[Partition]]) -> CheckReport:
     """Structural facts about the special partitions at each size n."""
-    reports = (check_special_structure(n, partitions=ps) for n, ps in enumerate(partitions))
-    outcomes = ((r.count_checked, r.counterexample) for r in reports)
+
+    def sweep(parts: Sequence[Partition], n: int) -> tuple[int, str | None]:
+        report = check_special_structure(n, partitions=parts)
+        return report.count_checked, report.counterexample
+
+    outcomes = (_first_in_canonical_order(sweep, ps, n) for n, ps in enumerate(partitions))
     return _report("special-structure", f"n=0..{len(partitions) - 1}", outcomes)
 
 
@@ -170,13 +204,13 @@ SWEEPING_CLAIMS = frozenset({"cardinality", "round-trip", "special-structure"})
 # is the one that runs.
 CLAIM_SUITES: dict[str, Callable[[int], CheckReport]] = {
     "cardinality": lambda n_max: cardinality_suite(
-        _each_size(enumerate_special, n_max), _each_size(generate_all, n_max)
+        _each_size(_special_walk, n_max), _each_size(generate_all, n_max)
     ),
     "round-trip": lambda n_max: round_trip_suite(
-        _each_size(enumerate_special, n_max), _each_size(generate_all, n_max)
+        _each_size(_special_walk, n_max), _each_size(generate_all, n_max)
     ),
     "special-structure": lambda n_max: special_structure_suite(
-        _each_size(enumerate_special, n_max)
+        _each_size(_special_walk, n_max)
     ),
     "floor-sum": lambda n_max: floor_sum_suite(),
     "min-blocks": lambda n_max: min_blocks_suite(n_max),
@@ -188,10 +222,11 @@ def run_verify(n_max: int = DEFAULT_N_CEILING) -> dict:
     """Run the five standard suites and assemble the report dictionary.
 
     The special partitions and S_n are walked once per size and shared
-    by the three suites that sweep them.
+    by the three suites that sweep them, the partitions in the walk's
+    order.
     """
     _check_size(n_max, 0, "n_max must be >= 0")
-    partitions = _each_size(enumerate_special, n_max)
+    partitions = _each_size(_special_walk, n_max)
     sequences = _each_size(generate_all, n_max)
     reports = [
         cardinality_suite(partitions, sequences),

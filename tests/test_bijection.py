@@ -163,6 +163,12 @@ STRETCH_FAULTS = [
     (WIDE, 1, 2, "arc 1 spans (1, 5), expected (1, 3)"),
     (initial_diagram(3), 2, 3, "only 1 arc follows arc 2, need 2"),
     (WIDE, 2, 2, "arc 3 is (5, 7), expected (4, 6)"),
+    # Checked like the width: no bool, float or text index stands in for arc 1.
+    *(
+        (initial_diagram(2), i, v, f"arc index {i!r} is not an integer")
+        for i in (1.0, True, "1")
+        for v in (1, 2)
+    ),
 ]
 
 

@@ -38,6 +38,7 @@ from ncpseq.verify import (
     round_trip_suite,
     run_verify,
 )
+from ncpseq.oracles import _opened_counts, _special_walk
 from ncpseq.partitions import (
     _gap_blocks,
     _gap_range,
@@ -383,15 +384,22 @@ def structure_reference(n, listing, violation=special_violation, refused=None):
 
 
 def miscounting(shape):
-    """_gap_range, except that a gap holding the partition with text shape
-    comes out one block short, so the check refuses it."""
+    """_opened_counts, except that a gap holding the partition with text
+    shape comes out one block short, so the check refuses it.  The count
+    drops at the gap's right end, which only the gap after it in the same
+    block reads again, so every gap the check judges before the first
+    refused one keeps its count."""
 
-    def gap_range(blocks, lo, hi):
-        first, stop = _gap_range(blocks, lo, hi)
-        gap = Partition._trusted(hi - lo - 1, _gap_blocks(blocks, lo, hi))
-        return first, stop - (format_partition(gap) == shape)
+    def opened_counts(blocks, m):
+        opened = _opened_counts(blocks, m)
+        for b in blocks:
+            for lo, hi in zip(b, b[1:]):
+                gap = Partition._trusted(hi - lo - 1, _gap_blocks(blocks, lo, hi))
+                if format_partition(gap) == shape:
+                    opened[hi] -= 1
+        return opened
 
-    return gap_range
+    return opened_counts
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -401,20 +409,84 @@ def test_check_special_structure_matches_a_memo_free_reference(n, shape, monkeyp
     if shape is None:
         assert want == (catalan(n), None)
     else:
-        monkeypatch.setattr(ncpseq.oracles, "_gap_range", miscounting(shape))
+        monkeypatch.setattr(ncpseq.oracles, "_opened_counts", miscounting(shape))
     report = check_special_structure(n)
     assert (report.count_checked, report.counterexample) == want
     assert report.passed == (want[1] is None)
 
 
 def test_a_refused_gap_shape_gives_the_first_structure_counterexample(monkeypatch):
-    monkeypatch.setattr(ncpseq.oracles, "_gap_range", miscounting("1,5|2,4|3"))
+    monkeypatch.setattr(ncpseq.oracles, "_opened_counts", miscounting("1,5|2,4|3"))
     report = CLAIM_SUITES["special-structure"](6)
     assert not report.passed
     assert report.count_checked == 24
     assert report.counterexample == (
         "1,7|2,6|3,5|4: subpartition at block 1, gap 1 is not special"
     )
+
+
+def refusing(parents):
+    """_opened_counts, except that each parent whose text is in parents
+    comes out one block short in its first gap, so the check refuses it
+    at block 1, gap 1."""
+
+    def opened_counts(blocks, m):
+        opened = _opened_counts(blocks, m)
+        if format_partition(Partition._trusted(m, blocks)) in parents:
+            opened[blocks[0][1]] -= 1
+        return opened
+
+    return opened_counts
+
+
+def test_a_failing_size_reports_its_canonically_smallest_counterexample(monkeypatch):
+    """The sweeps take the partitions in the walk's order, which meets a
+    failing partition before the smallest one in canonical text order;
+    the failing size is swept again in that order, so the report is that
+    of a canonical sweep."""
+    n = 4
+    walk = [format_partition(p) for p in _special_walk(n)]
+    canonical = sorted(walk)
+    assert walk != canonical
+    # The five partitions whose first block is {1, 9}.
+    bad = {text for text in walk if text.startswith("1,9|")}
+    smallest = min(bad)
+    assert len(bad) == catalan(n - 1)
+    assert min(walk.index(text) for text in bad) < walk.index(smallest)
+    before = sum(catalan(k) for k in range(n))
+
+    # Round-trip: forward sends each bad partition to the image of the
+    # canonically first one, so inverse gives that one back.
+    real_forward = ncpseq.bijection.forward
+    partner = parse_partition(canonical[0])
+    monkeypatch.setattr(
+        ncpseq.bijection,
+        "forward",
+        lambda p: real_forward(partner if format_partition(p) in bad else p),
+    )
+    reference = round_trip_suite(
+        [tuple(enumerate_special(k)) for k in range(n + 1)],
+        [tuple(generate_all(k)) for k in range(n + 1)],
+    )
+    report = CLAIM_SUITES["round-trip"](n)
+    want = (
+        2 * before + canonical.index(smallest) + 1,
+        f"inverse(forward({smallest})) = {canonical[0]}",
+    )
+    assert (reference.count_checked, reference.counterexample) == want
+    assert (report.count_checked, report.counterexample) == want
+    monkeypatch.setattr(ncpseq.bijection, "forward", real_forward)
+
+    # Special-structure: the prefix count refuses each bad parent.
+    monkeypatch.setattr(ncpseq.oracles, "_opened_counts", refusing(bad))
+    reference = check_special_structure(n)
+    report = CLAIM_SUITES["special-structure"](n)
+    want = (
+        canonical.index(smallest) + 1,
+        f"{smallest}: subpartition at block 1, gap 1 is not special",
+    )
+    assert (reference.count_checked, reference.counterexample) == want
+    assert (report.count_checked, report.counterexample) == (before + want[0], want[1])
 
 
 def accepting(text):
@@ -483,7 +555,8 @@ def test_structure_check_builds_no_gap_and_scans_each_parent_once(monkeypatch):
 def test_gap_count_verdict_is_the_special_verdict_of_the_built_gap():
     """The structure check's shortcut, on every even gap of every
     semi-special partition of [m], m <= 13: the gap is special exactly
-    when it holds (hi - lo) / 2 blocks."""
+    when it holds (hi - lo) / 2 blocks, and the prefix count the check
+    reads gives the same count as the bisection that builds the gap."""
     gaps = refused = 0
     for m in range(1, 14):
         for p in enumerate_ssp(m):
@@ -493,6 +566,8 @@ def test_gap_count_verdict_is_the_special_verdict_of_the_built_gap():
                         continue
                     first, stop = _gap_range(p.blocks, lo, hi)
                     assert stop - first == sum(1 for c in p.blocks if lo < c[0] < hi)
+                    opened = _opened_counts(p.blocks, m)
+                    assert opened[hi] - opened[lo] == stop - first
                     by_count = stop - first == (hi - lo) // 2
                     built = Partition._trusted(hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
                     assert by_count == is_special(built), (format_partition(p), lo, hi)

@@ -316,6 +316,30 @@ def test_incremental_bounds_match_scratch_formula(n, data):
         assert bounds_from_scratch(state.values, state.cursor) == state.bounds
 
 
+@pytest.mark.parametrize("cursor", [True, 1.5, "1"], ids=repr)
+def test_governing_state_cursor_is_an_int(cursor):
+    with pytest.raises(ValidationError) as raised:
+        GoverningState((1,), (1,), cursor)
+    assert str(raised.value) == f"cursor {cursor!r} is not an integer"
+
+
+@pytest.mark.parametrize(
+    "cursor, message",
+    [
+        (5, "cursor 5 is outside 0..2"),
+        (-1, "cursor -1 is outside 0..2"),
+        (1.5, "cursor 1.5 is not an integer"),
+        (True, "cursor True is not an integer"),
+    ],
+    ids=repr,
+)
+def test_bounds_from_scratch_takes_only_a_cursor_of_its_state(cursor, message):
+    assert [bounds_from_scratch((1, 1), c) for c in (0, 1, 2)] == [(1, 1), (1, 1), (1, 2)]
+    with pytest.raises(ValidationError) as raised:
+        bounds_from_scratch((1, 1), cursor)
+    assert str(raised.value) == message
+
+
 @given(st.integers(0, 10), st.data())
 @settings(max_examples=200)
 def test_any_reachable_state_completes_validly(n, data):
