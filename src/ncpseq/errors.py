@@ -1,4 +1,4 @@
-"""Shared exception types, and the one check of a public size argument."""
+"""Shared exception types, the one int rule, and the one token rule of the text readers."""
 
 
 class ParseError(ValueError):
@@ -13,9 +13,24 @@ class StretchError(ValidationError):
     """An arc-stretching step met a diagram without the required shape."""
 
 
+def _check_int(value: object, name: str) -> None:
+    """ValidationError naming value as name unless it is an int, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} {value!r} is not an integer")
+
+
 def _check_size(value: object, least: int, message: str) -> None:
     """ValidationError unless value is an int, not a bool; message when it is below least."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"size {value!r} is not an integer")
+    _check_int(value, "size")
     if value < least:
         raise ValidationError(message)
+
+
+def _read_int(token: str) -> int:
+    """The value of a token of ASCII digits; ParseError for any other token."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"expected a positive integer, got {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"integer of {len(token)} digits is too long") from None

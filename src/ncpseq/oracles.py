@@ -11,22 +11,26 @@ needs every special partition once takes them in the walk's order from
 _special_walk instead, with no text formatted to sort them; its caller
 sweeps a failing size again in canonical order, which is the order
 that picks the counterexample to report (see ncpseq.verify).
+
+One sweep, _structure_sweep, decides the structure facts:
+check_special_structure runs it over one size's listing, and verify's
+special-structure suite over each size in walk order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
 from ncpseq._frozen import Frozen
 from ncpseq.errors import ValidationError, _check_size
 from ncpseq.partitions import (
-    Block,
     Partition,
     _join_block_texts,
+    _opened_counts,
     format_partition,
     special_violation,
 )
@@ -141,7 +145,8 @@ def compositions(n: int) -> Iterator[Composition]:
                 out[-1] += 1
         return tuple(out)
 
-    return (Composition(parts(cuts)) for cuts in product((True, False), repeat=n - 1))
+    # Every part is a positive int by construction, so none is checked.
+    return (Composition._trusted(parts(cuts)) for cuts in product((True, False), repeat=n - 1))
 
 
 def check_floor_sum(c: Composition) -> bool:
@@ -245,25 +250,30 @@ def _structure_violation(p: Partition, top: int) -> str | None:
     return short
 
 
-def _opened_counts(blocks: tuple[Block, ...], m: int) -> list[int]:
-    """opened[x] for x = 0..m: how many of the blocks of [m] have their least element at most x."""
-    starts = [0] * (m + 1)
-    for b in blocks:
-        starts[b[0]] = 1
-    return list(accumulate(starts))
+def _structure_sweep(parts: Iterable[Partition], n: int) -> tuple[int, str | None]:
+    """(partitions checked, first failure or None) of the structure check over parts.
+
+    parts are partitions of [2n+1], checked in their order up to the
+    first that fails.
+    """
+    top = 2 * n + 1
+    checked = 0
+    for p in parts:
+        checked += 1
+        reason = _structure_violation(p, top)
+        if reason is not None:
+            return checked, f"{format_partition(p)}: {reason}"
+    return checked, None
 
 
-def check_special_structure(
-    n: int, *, partitions: Iterable[Partition] | None = None
-) -> CheckReport:
+def check_special_structure(n: int) -> CheckReport:
     """Re-check the structural facts over every special partition of [2n+1].
 
     For each one: 1 and 2n+1 share a block; consecutive elements of a
     block differ by an even amount; every subpartition is special.  The
     piece decomposition is then a single piece, which needs no check
-    (see _structure_violation).  partitions, when given, is the
-    enumeration of size n to check instead of walking it again, and the
-    counterexample is the first failure in its order.
+    (see _structure_violation).  The counterexample is the first failure
+    in canonical text order.
 
     A subpartition is judged by counting its blocks in the parent, with
     no partition built: the parent passed the special check first, so
@@ -273,12 +283,7 @@ def check_special_structure(
     """
 
     def outcomes() -> Iterator[tuple[int, str | None]]:
-        for p in enumerate_special(n) if partitions is None else partitions:
-            reason = _structure_violation(p, 2 * n + 1)
-            if reason is not None:
-                yield 1, f"{format_partition(p)}: {reason}"
-                return
-            yield 1, None
+        yield _structure_sweep(enumerate_special(n), n)
 
     return _report("special-structure", f"n={n}", outcomes())
 

@@ -29,15 +29,14 @@ Where each check runs:
   wraps them unchecked when their elements are exactly 1..m: then they
   cover 1..m once each and, sorted, are canonical.  Text it cannot read
   that way, or blocks that fail that test, are read again token by
-  token and go through the checked constructor, which names the first
-  fault.  Nothing is sized by the largest element before that test.
+  token, by the token rule of errors._read_int, and go through the
+  checked constructor, which names the first fault.  Nothing is sized
+  by the largest element before that test.
 * The special verdict is computed once per object: special_violation
   stores its answer in a slot of the instance that is not a field and
   that no constructor sets, so equality, hashing and repr do not see
   it, and the frozen __setattr__ keeps it from being set from outside;
-  until then the unset slot reads as _UNCHECKED.  Only when
-  is_semi_special fails do the checks run one by one, to name the
-  first that breaks.
+  until then the unset slot reads as _UNCHECKED.
 * A Partition holds its fields and that verdict in __slots__, with no
   instance __dict__, and the walk behind enumerate_special gives equal
   blocks of different partitions as one tuple (see
@@ -47,17 +46,22 @@ Where each check runs:
   next element of x's block, or 0 after its last, so succ[x] - x is the
   paper's difference sequence wherever succ[x] is nonzero.  _nests is
   the one crossing scan, over that array; is_noncrossing,
-  is_semi_special, to_arcs and the ArcDiagram constructor all run it.
+  _semi_special_violation, to_arcs and the ArcDiagram constructor all
+  run it.
+* _semi_special_violation is the one semi-special scan: it fills that
+  array once, keeping the first consecutive pair, and names a crossing
+  first.  is_semi_special and special_violation both read its answer.
+* _opened_counts, one prefix count of block starts, finds the blocks in
+  each gap of a non-crossing partition: subpartition slices them out,
+  and the structure check (ncpseq.oracles) counts them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import chain
-from operator import itemgetter
+from itertools import accumulate, chain
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ParseError, ValidationError
+from ncpseq.errors import ParseError, ValidationError, _read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -151,13 +155,7 @@ def _read_blocks(text: str) -> list[Block]:
     for chunk in text.split(BLOCK_SEP):
         elems = []
         for token in chunk.split(ELEMENT_SEP):
-            token = token.strip()
-            if not (token.isascii() and token.isdigit()):
-                raise ParseError(f"expected a positive integer, got {token!r}")
-            try:
-                value = int(token)
-            except ValueError:  # more digits than int() converts
-                raise ParseError(f"integer of {len(token)} digits is too long") from None
+            value = _read_int(token.strip())
             if value == 0:
                 raise ParseError("elements are 1-based, got 0")
             elems.append(value)
@@ -217,29 +215,32 @@ def is_noncrossing(p: Partition) -> bool:
     return _nests(_successors(p))
 
 
-def _adjacent_pair(p: Partition) -> tuple[int, int] | None:
+def _semi_special_violation(p: Partition) -> str | None:
+    """Name the first semi-special condition p breaks, or None.
+
+    Builds the successor array as _successors does, keeping the first
+    consecutive pair in block order as it goes; then _nests decides
+    non-crossing, which is named first.
+    """
+    succ = [0] * (p.ground_size + 1)
+    pair = None
     for block in p.blocks:
-        for x, y in zip(block, block[1:]):
-            if y == x + 1:
-                return x, y
+        x = block[0]
+        for y in block[1:]:
+            if y == x + 1 and pair is None:
+                pair = x, y
+            succ[x] = y
+            x = y
+    if not _nests(succ):
+        return "crossing blocks"
+    if pair is not None:
+        return f"consecutive integers {pair[0]},{pair[1]} in one block"
     return None
 
 
 def is_semi_special(p: Partition) -> bool:
-    """Non-crossing with no block containing both i and i+1.
-
-    Builds the successor array as is_noncrossing does, but stops at the
-    first successor that is x + 1; then _nests decides non-crossing.
-    """
-    succ = [0] * (p.ground_size + 1)
-    for block in p.blocks:
-        x = block[0]
-        for y in block[1:]:
-            if y == x + 1:
-                return False
-            succ[x] = y
-            x = y
-    return _nests(succ)
+    """Non-crossing with no block containing both i and i+1."""
+    return _semi_special_violation(p) is None
 
 
 def special_violation(p: Partition) -> str | None:
@@ -264,13 +265,7 @@ def _special_checks(p: Partition) -> str | None:
     want = (p.ground_size + 1) // 2
     if len(p.blocks) != want:
         return f"{len(p.blocks)} blocks where {want} are required"
-    if is_semi_special(p):
-        return None
-    # The scan does not say which condition failed; name the first.
-    if not is_noncrossing(p):
-        return "crossing blocks"
-    x, y = _adjacent_pair(p)
-    return f"consecutive integers {x},{y} in one block"
+    return _semi_special_violation(p)
 
 
 def is_special(p: Partition) -> bool:
@@ -326,31 +321,20 @@ def subpartition(p: Partition, block_index: int, gap_index: int) -> Partition:
     if not 1 <= gap_index < len(block):
         raise ValidationError(f"gap index {gap_index} out of range")
     lo, hi = block[gap_index - 1], block[gap_index]
-    return Partition._trusted(hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
+    # p is non-crossing, so the elements strictly between lo and hi are
+    # the whole blocks whose least element lies in (lo, hi); hi starts
+    # none, so in canonical order they run from opened[lo] to opened[hi].
+    opened = _opened_counts(p.blocks, p.ground_size)
+    inside = p.blocks[opened[lo]:opened[hi]]
+    return Partition._trusted(hi - lo - 1, tuple([tuple([x - lo for x in b]) for b in inside]))
 
 
-def _gap_range(blocks: tuple[Block, ...], lo: int, hi: int) -> tuple[int, int]:
-    """Indices first, stop of the run of blocks strictly between lo and hi.
-
-    blocks must be those of a non-crossing partition, such as a special
-    one, and lo, hi consecutive elements of one of them.  Non-crossing
-    makes the elements between them whole blocks, the run whose least
-    elements lie in (lo, hi).  Blocks are ordered by least element, so the run is found
-    by bisection.
-    """
-    first = bisect_left(blocks, lo + 1, key=itemgetter(0))
-    return first, bisect_left(blocks, hi, lo=first, key=itemgetter(0))
-
-
-def _gap_blocks(blocks: tuple[Block, ...], lo: int, hi: int) -> tuple[Block, ...]:
-    """The blocks strictly between lo and hi, shifted down to start at 1.
-
-    Unchecked core of subpartition, on the run that _gap_range finds:
-    the result is a canonical partition of {1..hi-lo-1} without any
-    further check.
-    """
-    first, stop = _gap_range(blocks, lo, hi)
-    return tuple([tuple([x - lo for x in b]) for b in blocks[first:stop]])
+def _opened_counts(blocks: tuple[Block, ...], m: int) -> list[int]:
+    """opened[x] for x = 0..m: how many of the blocks of [m] have their least element at most x."""
+    starts = [0] * (m + 1)
+    for b in blocks:
+        starts[b[0]] = 1
+    return list(accumulate(starts))
 
 
 class ArcDiagram(Frozen):

@@ -30,8 +30,9 @@ the run completable, and distinct choice runs give distinct sequences.
 
 Text form: space-separated ASCII decimal integers; the empty string is the
 unique n = 0 sequence.  parse_sequence reads the text in one step, or
-token by token when that fails, to name the first bad token; membership
-is then checked once, by CatSeq.  CatSeq._trusted (see ncpseq._frozen)
+token by token when that fails, by the token rule that parse_partition
+shares (errors._read_int), to name the first bad token; membership is
+then checked once, by CatSeq.  CatSeq._trusted (see ncpseq._frozen)
 wraps entries with no check, for code that has proved them a member:
 forward's images and the walk's listing.  generate_all and count_all
 import the kernels when they run, so code that only parses or formats
@@ -43,7 +44,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ParseError, ValidationError, _check_size
+from ncpseq.errors import ValidationError, _check_int, _check_size, _read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -137,15 +138,7 @@ def _read_entries(text: str) -> tuple[int, ...]:
         except ValueError:  # more digits than int() converts
             pass
     # Token by token, to name the first bad one.
-    entries = []
-    for token in text.split():
-        if not (token.isascii() and token.isdigit()):
-            raise ParseError(f"expected a positive integer, got {token!r}")
-        try:
-            entries.append(int(token))
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"integer of {len(token)} digits is too long") from None
-    return tuple(entries)
+    return tuple(map(_read_int, text.split()))
 
 
 def format_sequence(s: CatSeq) -> str:
@@ -169,7 +162,11 @@ class GoverningState(Frozen):
     def __init__(self, values: tuple[int, ...], bounds: tuple[int, ...], cursor: int) -> None:
         values = tuple(values)
         bounds = tuple(bounds)
-        _check_cursor(cursor)
+        for v in values:
+            _check_int(v, "value")
+        for g in bounds:
+            _check_int(g, "bound")
+        _check_int(cursor, "cursor")
         if len(bounds) != len(values) or not 0 <= cursor <= len(values):
             raise ValidationError("state lengths and cursor do not agree")
         if any(v != 1 for v in values[:cursor]):
@@ -191,12 +188,6 @@ class GoverningState(Frozen):
         if not self.is_complete:
             raise ValidationError(f"{self.cursor} positions are still unset")
         return CatSeq(self.values)
-
-
-def _check_cursor(cursor: object) -> None:
-    """ValidationError unless cursor is an int, not a bool."""
-    if not isinstance(cursor, int) or isinstance(cursor, bool):
-        raise ValidationError(f"cursor {cursor!r} is not an integer")
 
 
 def set_value(state: GoverningState, m: int) -> GoverningState:
@@ -227,10 +218,13 @@ def bounds_from_scratch(values: Sequence[int], cursor: int) -> tuple[int, ...]:
     """Bounds recomputed from their definition, ignoring any running state.
 
     Reference used to cross-check the incremental updates in set_value.
-    Raises ValidationError unless cursor is an int in 0..len(values).
+    Raises ValidationError unless every value is an int and cursor is an
+    int in 0..len(values).
     """
     n = len(values)
-    _check_cursor(cursor)
+    for v in values:
+        _check_int(v, "value")
+    _check_int(cursor, "cursor")
     if not 0 <= cursor <= n:
         raise ValidationError(f"cursor {cursor} is outside 0..{n}")
     out = []

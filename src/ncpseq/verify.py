@@ -25,11 +25,11 @@ order, their canonical order.
 
 Each fact is then computed once per object.  A partition's special
 verdict is stored on it, so the cardinality count, forward and the
-structure check share one computation; the structure check judges each
-gap by counting the parent's blocks in it, from one prefix count of the
-parent's least elements, with no partition built; and the round-trip
-suite runs forward once per partition and inverse once per distinct
-sequence.
+structure check share one computation; the structure suite hands each
+size to oracles._structure_sweep, with no report per size, and it
+judges each gap by counting the parent's blocks in it, with no
+partition built; and the round-trip suite runs forward once per
+partition and inverse once per distinct sequence.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from ncpseq.oracles import (
     CheckReport,
     _report,
     _special_walk,
+    _structure_sweep,
     catalan,
     check_floor_sum,
     check_max_ground,
-    check_special_structure,
     compositions,
     format_partition,
     min_ssp_blocks,
@@ -157,12 +157,9 @@ def round_trip_suite(
 
 def special_structure_suite(partitions: Sequence[Sequence[Partition]]) -> CheckReport:
     """Structural facts about the special partitions at each size n."""
-
-    def sweep(parts: Sequence[Partition], n: int) -> tuple[int, str | None]:
-        report = check_special_structure(n, partitions=parts)
-        return report.count_checked, report.counterexample
-
-    outcomes = (_first_in_canonical_order(sweep, ps, n) for n, ps in enumerate(partitions))
+    outcomes = (
+        _first_in_canonical_order(_structure_sweep, ps, n) for n, ps in enumerate(partitions)
+    )
     return _report("special-structure", f"n=0..{len(partitions) - 1}", outcomes)
 
 

@@ -227,9 +227,9 @@ def test_map_checks_each_input_once(cli, monkeypatch):
     # The special check of a special partition is one scan, for
     # non-crossing and "no consecutive pair" at once.
     scans = []
-    real = ncpseq.partitions.is_semi_special
+    real = ncpseq.partitions._semi_special_violation
     monkeypatch.setattr(
-        ncpseq.partitions, "is_semi_special", lambda p: scans.append(p) or real(p)
+        ncpseq.partitions, "_semi_special_violation", lambda p: scans.append(p) or real(p)
     )
     code, out, err = cli("map", stdin=f"1,3,5|2|4\n1,5|2,4|3\n{PART_13}\n")
     assert (code, out) == (0, "1 1\n1 2\n1 2 3 1 1 6\n")

@@ -37,11 +37,10 @@ from ncpseq.verify import (
     min_blocks_suite,
     round_trip_suite,
     run_verify,
+    special_structure_suite,
 )
-from ncpseq.oracles import _opened_counts, _special_walk
+from ncpseq.oracles import _opened_counts, _special_walk, _structure_sweep
 from ncpseq.partitions import (
-    _gap_blocks,
-    _gap_range,
     _join_block_texts,
     is_semi_special,
     parse_partition,
@@ -289,6 +288,19 @@ def test_compositions_enumeration():
         list(compositions(0))
 
 
+def test_floor_sum_suite_checks_no_composition_again(monkeypatch):
+    """The cuts make every part a positive int, so the suite builds its
+    compositions unchecked; each still equals the checked build."""
+    assert all(Composition(c.parts) == c for n in range(1, 8) for c in compositions(n))
+
+    def forbidden(self, parts):
+        raise AssertionError("a composition went through the checked constructor")
+
+    monkeypatch.setattr(Composition, "__init__", forbidden)
+    report = floor_sum_suite()
+    assert (report.passed, report.count_checked) == (True, 2**12 - 1)
+
+
 def test_floor_sum_examples():
     assert check_floor_sum(Composition((5,)))
     # the one-part case of 5 meets the bound exactly: 2 + 1 = floor(5/2) + 1
@@ -323,7 +335,7 @@ def test_check_special_structure(n):
 
 def test_check_special_structure_reports_a_non_special_parent():
     crossing = Partition(7, ((1, 3, 7), (2, 6), (4,), (5,)))
-    report = check_special_structure(3, partitions=[crossing])
+    report = special_structure_suite([(), (), (), (crossing,)])
     assert not report.passed
     assert report.counterexample == "1,3,7|2,6|4|5: not special (crossing blocks)"
 
@@ -337,9 +349,9 @@ def test_check_special_structure_reports_a_non_special_parent():
     ],
 )
 def test_check_special_structure_names_the_first_fault(text, reason):
-    report = check_special_structure(2, partitions=[parse_partition(text)])
-    assert not report.passed
-    assert (report.count_checked, report.counterexample) == (1, f"{text}: {reason}")
+    checked, failure = _structure_sweep([parse_partition(text)], 2)
+    assert failure is not None
+    assert (checked, failure) == (1, f"{text}: {reason}")
 
 
 def gap_partition(p, lo, hi):
@@ -392,9 +404,10 @@ def miscounting(shape):
 
     def opened_counts(blocks, m):
         opened = _opened_counts(blocks, m)
+        parent = Partition._trusted(m, blocks)
         for b in blocks:
             for lo, hi in zip(b, b[1:]):
-                gap = Partition._trusted(hi - lo - 1, _gap_blocks(blocks, lo, hi))
+                gap = gap_partition(parent, lo, hi)
                 if format_partition(gap) == shape:
                     opened[hi] -= 1
         return opened
@@ -527,9 +540,9 @@ def test_a_planted_parent_fails_at_its_first_overfull_gap(text, n, first_bad, mo
         f"{text}: subpartition at block {first_bad[0]}, gap {first_bad[1]} is not special",
     )
     monkeypatch.setattr(ncpseq.oracles, "special_violation", violation)
-    report = check_special_structure(n, partitions=listing)
-    assert not report.passed
-    assert (report.count_checked, report.counterexample) == want
+    checked, failure = _structure_sweep(listing, n)
+    assert failure is not None
+    assert (checked, failure) == want
 
 
 def test_structure_check_builds_no_gap_and_scans_each_parent_once(monkeypatch):
@@ -539,14 +552,14 @@ def test_structure_check_builds_no_gap_and_scans_each_parent_once(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a gap partition was built")
 
-    monkeypatch.setattr(ncpseq.partitions, "_gap_blocks", forbidden)
+    monkeypatch.setattr(ncpseq.partitions, "subpartition", forbidden)
     monkeypatch.setattr(Partition, "_trusted", forbidden)
     scans = []
-    real = ncpseq.partitions.is_semi_special
+    real = ncpseq.partitions._semi_special_violation
     monkeypatch.setattr(
-        ncpseq.partitions, "is_semi_special", lambda p: scans.append(p) or real(p)
+        ncpseq.partitions, "_semi_special_violation", lambda p: scans.append(p) or real(p)
     )
-    assert check_special_structure(n, partitions=parts).passed
+    assert _structure_sweep(parts, n) == (catalan(n), None)
     # One scan per parent, in its special check, and none for any gap.
     assert scans == parts
     assert len(scans) == catalan(n)
@@ -556,7 +569,8 @@ def test_gap_count_verdict_is_the_special_verdict_of_the_built_gap():
     """The structure check's shortcut, on every even gap of every
     semi-special partition of [m], m <= 13: the gap is special exactly
     when it holds (hi - lo) / 2 blocks, and the prefix count the check
-    reads gives the same count as the bisection that builds the gap."""
+    reads gives the count of the blocks in the gap, which are the run
+    of blocks that subpartition slices by it."""
     gaps = refused = 0
     for m in range(1, 14):
         for p in enumerate_ssp(m):
@@ -564,12 +578,13 @@ def test_gap_count_verdict_is_the_special_verdict_of_the_built_gap():
                 for lo, hi in zip(b, b[1:]):
                     if (hi - lo) % 2:
                         continue
-                    first, stop = _gap_range(p.blocks, lo, hi)
-                    assert stop - first == sum(1 for c in p.blocks if lo < c[0] < hi)
+                    count = sum(1 for c in p.blocks if lo < c[0] < hi)
                     opened = _opened_counts(p.blocks, m)
-                    assert opened[hi] - opened[lo] == stop - first
-                    by_count = stop - first == (hi - lo) // 2
-                    built = Partition._trusted(hi - lo - 1, _gap_blocks(p.blocks, lo, hi))
+                    assert opened[hi] - opened[lo] == count
+                    built = gap_partition(p, lo, hi)
+                    shifted = tuple(tuple(x + lo for x in c) for c in built.blocks)
+                    assert p.blocks[opened[lo]:opened[hi]] == shifted
+                    by_count = count == (hi - lo) // 2
                     assert by_count == is_special(built), (format_partition(p), lo, hi)
                     gaps += 1
                     refused += not by_count

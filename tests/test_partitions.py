@@ -315,9 +315,9 @@ def test_special_violation_messages():
 )
 def test_special_violation_is_computed_once_per_object(text, monkeypatch):
     scans = []
-    real = ncpseq.partitions.is_noncrossing
+    real = ncpseq.partitions._semi_special_violation
     monkeypatch.setattr(
-        ncpseq.partitions, "is_noncrossing", lambda p: scans.append(p) or real(p)
+        ncpseq.partitions, "_semi_special_violation", lambda p: scans.append(p) or real(p)
     )
     p = parse_partition(text)
     first = special_violation(p)

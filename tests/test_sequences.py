@@ -324,6 +324,34 @@ def test_governing_state_cursor_is_an_int(cursor):
 
 
 @pytest.mark.parametrize(
+    "values, bounds, cursor, message",
+    [
+        ((1,), ("x",), 1, "bound 'x' is not an integer"),
+        ((1,), (False,), 1, "bound False is not an integer"),
+        ((1.5,), (2,), 0, "value 1.5 is not an integer"),
+        ((True,), (1,), 1, "value True is not an integer"),
+        ((1, "1"), (1, 1), 0, "value '1' is not an integer"),
+    ],
+    ids=repr,
+)
+def test_governing_state_entries_are_ints(values, bounds, cursor, message):
+    with pytest.raises(ValidationError) as raised:
+        GoverningState(values, bounds, cursor)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [((1, "a"), "value 'a' is not an integer"), ((True, 1), "value True is not an integer")],
+    ids=repr,
+)
+def test_bounds_from_scratch_takes_only_int_values(values, message):
+    with pytest.raises(ValidationError) as raised:
+        bounds_from_scratch(values, 0)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
     "cursor, message",
     [
         (5, "cursor 5 is outside 0..2"),
