@@ -1,7 +1,8 @@
 """Enumeration kernels: the walks behind every listing, and the counts.
 
 The walks and counts are self-contained on purpose.  They never touch
-the bijection, so their output can referee it.  The walks are
+the bijection, so their output can referee it, and they take sizes the
+public entries have checked, checking none again.  The walks are
 generators that keep their own state per element or entry in flat
 arrays, so how deep they go is not bounded by the recursion limit.
 
@@ -153,8 +154,6 @@ def _partition_walk(
     labels: Sequence[T] | None = None,
     freeze: Callable[[list[list[T]]], L] | None = None,
 ) -> Iterator[L]:
-    if m < 1:
-        raise ValueError("ground size must be at least 1")
     if labels is None:
         labels = range(m + 1)
     if freeze is None:
@@ -210,8 +209,6 @@ def _partition_walk(
 
 
 def _count_partition_leaves(m: int, target: int | None) -> int:
-    if m < 1:
-        raise ValueError("ground size must be at least 1")
     opens = 0 if target is None else 1  # what opening a block adds to c
 
     def pruned(runs: dict[tuple[int, int], int], e: int) -> dict[tuple[int, int], int]:
@@ -245,8 +242,6 @@ def ssp_min_blocks(m: int) -> int:
     The least block target whose walk has a leaf, by the leaf count;
     all singletons is always semi-special, so the target m has one.
     """
-    if m < 1:
-        raise ValueError("ground size must be at least 1")
     return next(c for c in range(1, m + 1) if _count_partition_leaves(m, c))
 
 
@@ -259,15 +254,11 @@ def catalan_sequences(n: int, labels: Sequence[S] | None = None) -> list[S]:
     labels[0] is () and labels[v] is (v,), so each member is its tuple
     of entries.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return list(_sequence_walk(n, labels))
 
 
 def count_catalan_sequences(n: int) -> int:
     """|S_n|, by the end-point stack count: O(n^2) additions, no walk."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     runs = [1]  # runs[k]: prefixes that leave k end points above 0
     for _ in range(n):
         # Closing onto end point e_j (e_0 = 0, j <= k) leaves j + 1 end

@@ -76,7 +76,7 @@ Where the checks run:
 from __future__ import annotations
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import StretchError, ValidationError, _check_size
+from ncpseq.errors import StretchError, ValidationError, _check_size, _is_int
 from ncpseq.partitions import (
     Arc,
     ArcDiagram,
@@ -122,9 +122,9 @@ def stretch_step(d: ArcDiagram, i: int, v: int) -> ArcDiagram:
     inverse construction that happens exactly when v exceeds the
     governing bound for the step.
     """
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+    if not _is_int(v) or v < 1:
         raise StretchError(f"stretch width {v!r} is not a positive integer")
-    if not isinstance(i, int) or isinstance(i, bool):
+    if not _is_int(i):
         raise StretchError(f"arc index {i!r} is not an integer")
     arcs = d.arcs
     if not 1 <= i <= len(arcs):

@@ -13,9 +13,14 @@ class StretchError(ValidationError):
     """An arc-stretching step met a diagram without the required shape."""
 
 
+def _is_int(value: object) -> bool:
+    """The one int rule, which every module asks: value is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_int(value: object, name: str) -> None:
     """ValidationError naming value as name unless it is an int, not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValidationError(f"{name} {value!r} is not an integer")
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ValidationError, _check_size
+from ncpseq.errors import ValidationError, _check_size, _is_int
 from ncpseq.partitions import (
     Partition,
     _join_block_texts,
@@ -116,7 +116,7 @@ class Composition(Frozen):
         if not parts:
             raise ValidationError("a composition needs at least one part")
         for x in parts:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            if not _is_int(x) or x < 1:
                 raise ValidationError(f"part {x!r} is not a positive integer")
         super().__init__(parts)
 
@@ -212,7 +212,7 @@ def _report(
         if failure is None:
             failure = reason
     elapsed = round((time.perf_counter() - started) * 1000.0, 3)
-    return CheckReport(claim, range_checked, failure is None, checked, elapsed, failure)
+    return CheckReport._trusted(claim, range_checked, failure is None, checked, elapsed, failure)
 
 
 def _structure_violation(p: Partition, top: int) -> str | None:

@@ -22,16 +22,16 @@ endpoints.
 
 Where each check runs:
 
-* The Partition constructor sorts and checks any blocks it is given.
+* The Partition constructor checks any blocks it is given, then sorts them.
   Code that has just proved its blocks a canonical partition wraps them
   with Partition._trusted (see ncpseq._frozen) instead, unchecked.
 * parse_partition reads the text in one step, sorts the blocks, and
   wraps them unchecked when their elements are exactly 1..m: then they
   cover 1..m once each and, sorted, are canonical.  Text it cannot read
   that way, or blocks that fail that test, are read again token by
-  token, by the token rule of errors._read_int, and go through the
-  checked constructor, which names the first fault.  Nothing is sized
-  by the largest element before that test.
+  token, by the token rule of errors._read_int, and go sorted through
+  the checked constructor, which names the first fault in canonical
+  order.  Nothing is sized by the largest element before that test.
 * The special verdict is computed once per object: special_violation
   stores its answer in a slot of the instance that is not a field and
   that no constructor sets, so equality, hashing and repr do not see
@@ -61,7 +61,7 @@ from __future__ import annotations
 from itertools import accumulate, chain
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ParseError, ValidationError, _read_int
+from ncpseq.errors import ParseError, ValidationError, _check_int, _is_int, _read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -87,9 +87,9 @@ class Partition(Frozen):
     blocks: tuple[Block, ...]
 
     def __init__(self, ground_size: int, blocks: tuple[Block, ...]) -> None:
-        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        blocks = tuple(map(tuple, blocks))
         _check_partition(ground_size, blocks)
-        super().__init__(ground_size, blocks)
+        super().__init__(ground_size, tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -100,7 +100,7 @@ class Partition(Frozen):
 
 
 def _check_partition(m: int, blocks: tuple[Block, ...]) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValidationError("ground size must be a positive integer")
     if not blocks:
         raise ValidationError("a partition needs at least one block")
@@ -109,8 +109,7 @@ def _check_partition(m: int, blocks: tuple[Block, ...]) -> None:
         if not block:
             raise ValidationError("empty block")
         for x in block:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValidationError(f"element {x!r} is not an integer")
+            _check_int(x, "element")
             if not 1 <= x <= m:
                 raise ValidationError(f"element {x} outside 1..{m}")
             if x in seen:
@@ -146,7 +145,7 @@ def parse_partition(text: str) -> Partition:
             if elements == list(range(1, len(elements) + 1)):
                 return Partition._trusted(len(elements), tuple(blocks))
     blocks = _read_blocks(text)
-    return Partition(max(map(max, blocks)), tuple(blocks))
+    return Partition(max(map(max, blocks)), tuple(sorted(map(sorted, blocks))))
 
 
 def _read_blocks(text: str) -> list[Block]:
@@ -313,6 +312,8 @@ def subpartition(p: Partition, block_index: int, gap_index: int) -> Partition:
     reason = special_violation(p)
     if reason is not None:
         raise ValidationError(f"subpartitions need a special partition ({reason})")
+    _check_int(block_index, "block index")
+    _check_int(gap_index, "gap index")
     if not 1 <= block_index <= len(p.blocks):
         raise ValidationError(f"block index {block_index} out of range")
     block = p.blocks[block_index - 1]
@@ -345,13 +346,13 @@ class ArcDiagram(Frozen):
     arcs: tuple[Arc, ...]
 
     def __init__(self, point_count: int, arcs: tuple[Arc, ...]) -> None:
-        arcs = tuple(sorted(tuple(a) for a in arcs))
+        arcs = tuple(map(tuple, arcs))
         _check_arcs(point_count, arcs)
-        super().__init__(point_count, arcs)
+        super().__init__(point_count, tuple(sorted(arcs)))
 
 
 def _check_arcs(m: int, arcs: tuple[Arc, ...]) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValidationError("point count must be a positive integer")
     succ: dict[int, int] = {}
     ended: set[int] = set()
@@ -359,7 +360,7 @@ def _check_arcs(m: int, arcs: tuple[Arc, ...]) -> None:
         if len(arc) != 2:
             raise ValidationError(f"arc {arc!r} is not a pair")
         l, r = arc
-        if not (type(l) is int and type(r) is int and 1 <= l < r <= m):
+        if not (_is_int(l) and _is_int(r) and 1 <= l < r <= m):
             raise ValidationError(f"arc ({l},{r}) outside 1 <= left < right <= {m}")
         if l in succ:
             raise ValidationError(f"two arcs share left endpoint {l}")

@@ -9,7 +9,8 @@ and |S_n| is the n-th Catalan number.  Condition (ii) says that the
 intervals (i - s_i, i] nest: each one either holds an earlier one whole
 or misses it.  So in a member the maximal intervals among the first
 i - 1 tile (0, i - 1], and i - s_i must be one of their end points;
-membership is one left-to-right pass over a stack of those end points.
+membership, and the first broken condition of a non-member, come from
+one left-to-right pass over a stack of those end points.
 generate_all lists S_n in lexicographic order by walking the same
 stack (see ncpseq._kernels_py): each entry closes onto one of its end
 points, so the walk proves each member as it builds it, and nothing is
@@ -44,7 +45,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ValidationError, _check_int, _check_size, _read_int
+from ncpseq.errors import ValidationError, _check_int, _check_size, _is_int, _read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -54,37 +55,37 @@ if TYPE_CHECKING:
 def sequence_violation(entries: Sequence[int]) -> str | None:
     """Name the first broken membership condition, or None if s is in S_n.
 
-    Members pass in one O(n) pass over the end points of the maximal
-    intervals so far; anything else is handed to the full scan, which
-    names the first broken condition.
+    One O(n) pass over the end points of the maximal intervals so far
+    decides membership.  Where it stops at entry i, entries 1..i-1 are
+    a member, so neither condition breaks before i: the first fault of
+    (i) from i on is named first, and else (ii) breaks at i, at the
+    least r with s_{i-r} > s_i - r.
     """
     ends = [0]
     for i, v in enumerate(entries, start=1):
         if type(v) is not int or not 1 <= v <= i:
-            return _scan_violation(entries)
+            # With no fault of (i), only an int subclass stopped the pass.
+            return _range_violation(entries, i) or sequence_violation(list(map(int, entries)))
         start = i - v
         while ends[-1] > start:
             ends.pop()
         if ends[-1] != start:
-            return _scan_violation(entries)
+            r = next(r for r in range(1, v) if entries[i - r - 1] > v - r)
+            return _range_violation(entries, i + 1) or (
+                f"s_{i} = {v} forces s_{i - r} <= {v - r}, found {entries[i - r - 1]}"
+            )
         ends.append(i)
     return None
 
 
-def _scan_violation(entries: Sequence[int]) -> str | None:
-    # Conditions (i) then (ii) as stated, index by index: O(sum of s_i).
-    for i, v in enumerate(entries, start=1):
-        if not isinstance(v, int) or isinstance(v, bool):
+def _range_violation(entries: Sequence[int], first: int) -> str | None:
+    """Name the first entry from index first on that breaks (i), or None."""
+    for i in range(first, len(entries) + 1):
+        v = entries[i - 1]
+        if not _is_int(v):
             return f"entry {i} is not an integer"
         if not 1 <= v <= i:
             return f"s_{i} = {v} outside 1..{i}"
-    for i, v in enumerate(entries, start=1):
-        for r in range(1, v):
-            if entries[i - r - 1] > v - r:
-                return (
-                    f"s_{i} = {v} forces s_{i - r} <= {v - r}, "
-                    f"found {entries[i - r - 1]}"
-                )
     return None
 
 
@@ -196,12 +197,13 @@ def set_value(state: GoverningState, m: int) -> GoverningState:
     After position q takes m, an earlier position p can afford at most
     m - (q - p); bounds that were already smaller stay.  Raises
     ValidationError when the state is complete or m is outside 1..g_q.
+    The next state is built unchecked; sequence() checks a finished run.
     """
     if state.is_complete:
         raise ValidationError("every position is already set")
     q = state.cursor
     limit = state.bounds[q - 1]
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= limit:
+    if not _is_int(m) or not 1 <= m <= limit:
         raise ValidationError(f"m = {m} outside 1..{limit} at position {q}")
     values = list(state.values)
     bounds = list(state.bounds)
@@ -211,7 +213,7 @@ def set_value(state: GoverningState, m: int) -> GoverningState:
         cap = m - (q - p)
         if cap < bounds[p - 1]:
             bounds[p - 1] = cap
-    return GoverningState(tuple(values), tuple(bounds), q - 1)
+    return GoverningState._trusted(tuple(values), tuple(bounds), q - 1)
 
 
 def bounds_from_scratch(values: Sequence[int], cursor: int) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 Everything here works straight off the definitions: partitions come
 from recursive placement, crossings from the four-index condition,
-sequences from filtering the full product, arc depths and display rows
+sequences from filtering the full product, the first broken condition
+of S_n from scanning it as stated, arc depths and display rows
 from pairwise comparison.  Seeded members of S_n are drawn within the
 governing bounds.  Nothing is shared with the package internals.
 """
@@ -80,6 +81,23 @@ def sequences_by_filter(n):
         if ok:
             found.append(cand)
     return found
+
+
+def scan_violation(entries):
+    # Conditions (i) then (ii) as stated, index by index: O(sum of s_i).
+    for i, v in enumerate(entries, start=1):
+        if not isinstance(v, int) or isinstance(v, bool):
+            return f"entry {i} is not an integer"
+        if not 1 <= v <= i:
+            return f"s_{i} = {v} outside 1..{i}"
+    for i, v in enumerate(entries, start=1):
+        for r in range(1, v):
+            if entries[i - r - 1] > v - r:
+                return (
+                    f"s_{i} = {v} forces s_{i - r} <= {v - r}, "
+                    f"found {entries[i - r - 1]}"
+                )
+    return None
 
 
 def motzkin_reference(n):

@@ -231,21 +231,6 @@ def test_enumerate_special_wraps_kernel_blocks_unchecked(monkeypatch):
     assert calls == [3]
 
 
-def test_kernels_reject_bad_sizes():
-    with pytest.raises(ValueError):
-        kernels.ssp_partitions(0)
-    with pytest.raises(ValueError):
-        kernels.special_partitions(-1)
-    with pytest.raises(ValueError):
-        kernels.catalan_sequences(-1)
-    with pytest.raises(ValueError):
-        kernels.count_ssp_partitions(0)
-    with pytest.raises(ValueError):
-        kernels.count_special_partitions(-1)
-    with pytest.raises(ValueError):
-        kernels.count_catalan_sequences(-1)
-
-
 def test_enumerator_input_validation():
     with pytest.raises(ValidationError):
         list(enumerate_special(-1))

@@ -94,6 +94,9 @@ def test_parse_arbitrary_text_raises_only_library_errors(text):
 def test_parse_rejects_non_partitions():
     with pytest.raises(ValidationError, match="duplicate element 2"):
         parse_partition("1,3|2,2")
+    # Of several faults, the first in canonical order is named.
+    with pytest.raises(ValidationError, match="duplicate element 1"):
+        parse_partition("2,2|1,1")
     with pytest.raises(ValidationError, match="element 2 missing"):
         parse_partition("1,3")
     # The report must not build the set of all of 1..max element.
@@ -232,6 +235,22 @@ def test_partition_keeps_canonical_blocks_and_checks_them():
         Partition(1, (("1",),))
     with pytest.raises(ValidationError, match="not an integer"):
         Partition(2, ((1,), (2.0,)))
+
+
+@pytest.mark.parametrize(
+    "m, blocks, message",
+    [
+        (1, (), "a partition needs at least one block"),
+        (3, ((1, 2, 3), ()), "empty block"),
+        # Named before the blocks are sorted, which could not order them.
+        (3, ((1, "a"), (2,), (3,)), "element 'a' is not an integer"),
+    ],
+    ids=repr,
+)
+def test_partition_constructor_names_its_fault(m, blocks, message):
+    with pytest.raises(ValidationError) as raised:
+        Partition(m, blocks)
+    assert str(raised.value) == message
 
 
 def test_str_matches_format():
@@ -429,6 +448,24 @@ def test_subpartition_rejects_bad_indices():
         subpartition(parse_partition("1,3|2,4|5"), 1, 1)
 
 
+@pytest.mark.parametrize(
+    "block_index, gap_index, message",
+    [
+        (0, 1, "block index 0 out of range"),
+        (4, 1, "block index 4 out of range"),
+        (True, 1, "block index True is not an integer"),
+        ("1", 1, "block index '1' is not an integer"),
+        (1, 1.5, "gap index 1.5 is not an integer"),
+        (1, True, "gap index True is not an integer"),
+    ],
+    ids=repr,
+)
+def test_subpartition_names_a_bad_index(block_index, gap_index, message):
+    with pytest.raises(ValidationError) as raised:
+        subpartition(parse_partition("1,5|2,4|3"), block_index, gap_index)
+    assert str(raised.value) == message
+
+
 def test_to_arcs_examples():
     part13 = parse_partition(PART_13)
     assert set(to_arcs(part13).arcs) == {(1, 13), (2, 4), (4, 6), (6, 12), (7, 11), (8, 10)}
@@ -469,6 +506,8 @@ ARC_FAULTS = [
     (3, ((2, 2),), "arc (2,2) outside 1 <= left < right <= 3"),
     (3, ((True, 3),), "arc (True,3) outside 1 <= left < right <= 3"),
     (3, ((1, True),), "arc (1,True) outside 1 <= left < right <= 3"),
+    # Named before the arcs are sorted, which could not order them.
+    (3, ((2, 1), ("a", 3)), "arc (2,1) outside 1 <= left < right <= 3"),
     (5, ((1, 3), (1, 5)), "two arcs share left endpoint 1"),
     (5, ((1, 4), (3, 4)), "two arcs share right endpoint 4"),
     (4, ((1, 3), (2, 4)), "crossing arcs"),
@@ -481,6 +520,12 @@ def test_arc_diagram_invariants():
         with pytest.raises(ValidationError) as excinfo:
             ArcDiagram(m, arcs)
         assert str(excinfo.value) == message
+
+    class Point(int):
+        pass
+
+    # Arc ends follow the int rule of partition elements.
+    assert ArcDiagram(3, ((Point(1), 3),)).arcs == ((1, 3),)
 
 
 def test_arc_check_sizes_nothing_by_the_point_count():

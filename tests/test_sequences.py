@@ -22,9 +22,7 @@ from ncpseq import (
     set_value,
     validate_sequence,
 )
-from ncpseq.sequences import _scan_violation
-
-from bruteforce import catalan_reference, sequences_by_filter
+from bruteforce import catalan_reference, scan_violation, sequences_by_filter
 
 
 def test_validate_examples():
@@ -179,7 +177,7 @@ def test_violation_equals_the_full_scan_on_every_small_tuple(n):
     else:
         tuples = product(*(range(i + 2) for i in range(1, n + 1)))
     for t in tuples:
-        assert sequence_violation(t) == _scan_violation(t)
+        assert sequence_violation(t) == scan_violation(t)
 
 
 @given(
@@ -190,7 +188,7 @@ def test_violation_equals_the_full_scan_on_every_small_tuple(n):
 )
 @settings(max_examples=500)
 def test_violation_equals_the_full_scan_on_arbitrary_lists(entries):
-    assert sequence_violation(entries) == _scan_violation(entries)
+    assert sequence_violation(entries) == scan_violation(entries)
 
 
 def test_violation_of_a_long_member_and_a_late_near_miss():
@@ -202,13 +200,47 @@ def test_violation_of_a_long_member_and_a_late_near_miss():
         state = set_value(state, rng.randint(1, state.bounds[state.cursor - 1]))
     member = state.values
     assert sequence_violation(member) is None
-    assert _scan_violation(member) is None
+    assert scan_violation(member) is None
     # s_799 = 2 covers 798..799, so s_800 = 2 starts inside it: (ii)
     # breaks at the last entry and nowhere before.
     near_miss = member[:799] + (2,)
     assert sequence_violation(near_miss[:799]) is None
     expected = "s_800 = 2 forces s_799 <= 1, found 2"
-    assert sequence_violation(near_miss) == _scan_violation(near_miss) == expected
+    assert sequence_violation(near_miss) == scan_violation(near_miss) == expected
+
+
+class CountingList(list):
+    """A list that counts the entries read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for v in super().__iter__():
+            self.reads += 1
+            yield v
+
+
+def test_violation_reads_a_near_miss_in_linear_time():
+    # (ii) breaks only at the last entry, which the pass reaches after
+    # reading every entry once; scanning s_i - 1 earlier entries for
+    # each i would read about n^2 / 2.
+    n = 2000
+    near_miss = CountingList([*range(1, n), 2])
+    assert sequence_violation(near_miss) == f"s_{n} = 2 forces s_{n - 1} <= 1, found {n - 1}"
+    assert near_miss.reads <= 2 * n
+
+
+def test_violation_names_a_fault_after_an_int_subclass():
+    class Index(int):
+        pass
+
+    # Only the type of entry 3 stops the one pass; (ii) still breaks there.
+    assert sequence_violation((1, 2, Index(2))) == "s_3 = 2 forces s_2 <= 1, found 2"
+    assert sequence_violation((Index(1), 2, 2, Index(0))) == "s_4 = 0 outside 1..4"
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -303,6 +335,38 @@ def test_completed_state_refuses_more():
     assert state.is_complete
     with pytest.raises(ValidationError):
         set_value(state, 1)
+
+
+def test_a_replay_checks_only_its_initial_state(monkeypatch):
+    # set_value builds each next state from the bounds it has just
+    # derived, so only initial runs the checking constructor.
+    checked = []
+    init = GoverningState.__init__
+
+    def counted(self, *values):
+        checked.append(values)
+        init(self, *values)
+
+    monkeypatch.setattr(GoverningState, "__init__", counted)
+    state = GoverningState.initial(8)
+    for m in (4, 1, 2, 1, 4, 1, 1, 1):
+        state = set_value(state, m)
+    assert state.sequence().entries == (1, 1, 1, 4, 1, 2, 1, 4)
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize(
+    "values, bounds, cursor, message",
+    [
+        ((1,), (1, 2), 1, "state lengths and cursor do not agree"),
+        ((2,), (1,), 1, "unset positions must hold the placeholder 1"),
+    ],
+    ids=repr,
+)
+def test_governing_state_shape_is_checked(values, bounds, cursor, message):
+    with pytest.raises(ValidationError) as raised:
+        GoverningState(values, bounds, cursor)
+    assert str(raised.value) == message
 
 
 @given(st.integers(0, 10), st.data())
