@@ -35,9 +35,8 @@ _EXPORTS = {
     ),
     "render": ("render_ascii", "render_svg", "render_trace"),
     "sequences": (
-        "CatSeq", "GoverningState", "bounds_from_scratch", "count_all", "format_sequence",
-        "generate_all", "parse_sequence", "sequence_violation", "set_value",
-        "validate_sequence",
+        "CatSeq", "GoverningState", "count_all", "format_sequence", "generate_all",
+        "parse_sequence", "sequence_violation", "set_value", "validate_sequence",
     ),
     "verify": ("run_verify",),
 }

@@ -17,8 +17,8 @@ stretch_step and inverse_trace run the paper's step, _stretched, which
 builds the v arcs that a step touches from p and v and shares every
 other arc with the diagram before the step.  The steps come from one
 stream, _trace_steps, that holds only the latest diagram: inverse_trace
-collects it, and invert --trace writes each step as it comes, with the
-formatters behind to_text and to_json.  inverse builds the same
+collects it, and invert --trace writes each step as it comes, as a
+line of _step_text or a record of _trace_json.  inverse builds the same
 partition in O(n) from the nesting of s, with no arc stretched, by the
 region fact:
 
@@ -174,30 +174,9 @@ class ConstructionTrace(Frozen):
     start: ArcDiagram
     steps: tuple[TraceStep, ...]
 
-    def diagrams(self) -> tuple[ArcDiagram, ...]:
-        """D_1 .. D_{n+1}: the start diagram, then one result per step."""
-        return (self.start,) + tuple(step.diagram for step in self.steps)
-
-    def distinct_diagrams(self) -> tuple[ArcDiagram, ...]:
-        """The start, then the diagram of each step that shifts an arc (v > 1).
-
-        Such a step lengthens its arc, and v = 1 changes nothing, so these are the stages.
-        """
-        return (self.start,) + tuple(st.diagram for st in self.steps if st.shifted)
-
-    def final_partition(self) -> Partition:
-        return from_arcs(self.steps[-1].diagram if self.steps else self.start)
-
-    def to_text(self) -> str:
-        """One line per step: index, stretched arc, slid arcs, resulting partition."""
-        return "\n".join(map(_step_text, self.steps))
-
-    def to_json(self) -> str:
-        """The same step records as a JSON array."""
-        return "".join(_trace_json(self.steps))
-
 
 def _step_text(st: TraceStep) -> str:
+    """One line of invert --trace: index, stretched arc, slid arcs, resulting partition."""
     moved = ", ".join(f"({a[0]},{a[1]})->({b[0]},{b[1]})" for a, b in st.shifted)
     return (
         f"step {st.index}: ({st.arc_before[0]},{st.arc_before[1]})"

@@ -1,4 +1,5 @@
-"""Shared exception types, the one int rule, and the one token rule of the text readers."""
+"""Shared exception types, the one int rule, the one tuple conversion, and the
+one token rule of the text readers."""
 
 
 class ParseError(ValueError):
@@ -22,6 +23,15 @@ def _check_int(value: object, name: str) -> None:
     """ValidationError naming value as name unless it is an int, not a bool."""
     if not _is_int(value):
         raise ValidationError(f"{name} {value!r} is not an integer")
+
+
+def _as_tuple(value: object, name: str) -> tuple:
+    """tuple(value); ValidationError naming value as name when it is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {value!r}") from None
+    return tuple(items)
 
 
 def _check_size(value: object, least: int, message: str) -> None:

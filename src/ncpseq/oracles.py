@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from ncpseq._backend import kernels
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ValidationError, _check_size, _is_int
+from ncpseq.errors import ValidationError, _as_tuple, _check_size, _is_int
 from ncpseq.partitions import (
     Partition,
     _join_block_texts,
@@ -112,7 +112,7 @@ class Composition(Frozen):
     parts: tuple[int, ...]
 
     def __init__(self, parts: tuple[int, ...]) -> None:
-        parts = tuple(parts)
+        parts = _as_tuple(parts, "parts")
         if not parts:
             raise ValidationError("a composition needs at least one part")
         for x in parts:

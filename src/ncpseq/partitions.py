@@ -61,7 +61,7 @@ from __future__ import annotations
 from itertools import accumulate, chain
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ParseError, ValidationError, _check_int, _is_int, _read_int
+from ncpseq.errors import ParseError, ValidationError, _as_tuple, _check_int, _is_int, _read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -87,16 +87,12 @@ class Partition(Frozen):
     blocks: tuple[Block, ...]
 
     def __init__(self, ground_size: int, blocks: tuple[Block, ...]) -> None:
-        blocks = tuple(map(tuple, blocks))
+        blocks = tuple([_as_tuple(b, "block") for b in _as_tuple(blocks, "blocks")])
         _check_partition(ground_size, blocks)
         super().__init__(ground_size, tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
     def __str__(self) -> str:
         return format_partition(self)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 def _check_partition(m: int, blocks: tuple[Block, ...]) -> None:
@@ -346,7 +342,7 @@ class ArcDiagram(Frozen):
     arcs: tuple[Arc, ...]
 
     def __init__(self, point_count: int, arcs: tuple[Arc, ...]) -> None:
-        arcs = tuple(map(tuple, arcs))
+        arcs = tuple([_as_tuple(a, "arc") for a in _as_tuple(arcs, "arcs")])
         _check_arcs(point_count, arcs)
         super().__init__(point_count, tuple(sorted(arcs)))
 

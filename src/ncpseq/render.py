@@ -173,7 +173,12 @@ def render_svg(d: ArcDiagram) -> str:
 
 
 def render_trace(t: ConstructionTrace) -> str:
-    """One SVG stacking each stage of a construction trace (see distinct_diagrams)."""
+    """One SVG stacking each stage of a construction trace.
+
+    The stages are the start and the diagram of each step that shifts
+    an arc: such a step (v > 1) lengthens its arc, and v = 1 changes
+    nothing.
+    """
     stages = [("start", t.start)]
     stages += [(f"step {st.index}", st.diagram) for st in t.steps if st.shifted]
     # Every stage has the start's points.

@@ -45,7 +45,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ncpseq._frozen import Frozen
-from ncpseq.errors import ValidationError, _check_int, _check_size, _is_int, _read_int
+from ncpseq.errors import ValidationError, _as_tuple, _check_int, _check_size, _is_int, _read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -101,7 +101,7 @@ class CatSeq(Frozen):
     entries: tuple[int, ...]
 
     def __init__(self, entries: tuple[int, ...]) -> None:
-        entries = tuple(entries)
+        entries = _as_tuple(entries, "entries")
         reason = sequence_violation(entries)
         if reason is not None:
             raise ValidationError(reason)
@@ -161,8 +161,8 @@ class GoverningState(Frozen):
     cursor: int
 
     def __init__(self, values: tuple[int, ...], bounds: tuple[int, ...], cursor: int) -> None:
-        values = tuple(values)
-        bounds = tuple(bounds)
+        values = _as_tuple(values, "values")
+        bounds = _as_tuple(bounds, "bounds")
         for v in values:
             _check_int(v, "value")
         for g in bounds:
@@ -216,39 +216,12 @@ def set_value(state: GoverningState, m: int) -> GoverningState:
     return GoverningState._trusted(tuple(values), tuple(bounds), q - 1)
 
 
-def bounds_from_scratch(values: Sequence[int], cursor: int) -> tuple[int, ...]:
-    """Bounds recomputed from their definition, ignoring any running state.
-
-    Reference used to cross-check the incremental updates in set_value.
-    Raises ValidationError unless every value is an int and cursor is an
-    int in 0..len(values).
-    """
-    n = len(values)
-    for v in values:
-        _check_int(v, "value")
-    _check_int(cursor, "cursor")
-    if not 0 <= cursor <= n:
-        raise ValidationError(f"cursor {cursor} is outside 0..{n}")
-    out = []
-    for q in range(1, n + 1):
-        if q > cursor:
-            out.append(values[q - 1])
-            continue
-        g = q
-        for p in range(cursor + 1, n + 1):
-            cap = values[p - 1] - (p - q)
-            if 1 <= cap < g:
-                g = cap
-        out.append(g)
-    return tuple(out)
-
-
 def generate_all(n: int, *, as_text: bool = False) -> Iterator[CatSeq] | Iterator[str]:
-    """Yield every member of S_n, in lexicographic order of the entries.
+    """Every member of S_n, in lexicographic order of the entries.
 
-    With as_text, yield the canonical text of each member instead, with
-    no CatSeq built.  Nothing is checked per member: the walk closes
-    each entry onto an end point of the nesting stack that
+    With as_text, the canonical text of each member instead, with no
+    CatSeq built.  Nothing is checked per member: the walk closes each
+    entry onto an end point of the nesting stack that
     sequence_violation scans, so it lists members only, each once (see
     ncpseq._kernels_py).
     """
@@ -256,12 +229,10 @@ def generate_all(n: int, *, as_text: bool = False) -> Iterator[CatSeq] | Iterato
     from ncpseq._backend import kernels
 
     if not as_text:
-        for entries in kernels.catalan_sequences(n):
-            yield CatSeq._trusted(entries)
-        return
+        return map(CatSeq._trusted, kernels.catalan_sequences(n))
     labels = [""] + [f" {v}" for v in range(1, n + 1)]
     # Each text comes out as " s_1 ... s_n": drop its leading blank.
-    yield from map(itemgetter(slice(1, None)), kernels.catalan_sequences(n, labels))
+    return map(itemgetter(slice(1, None)), kernels.catalan_sequences(n, labels))
 
 
 def count_all(n: int) -> int:

@@ -3,9 +3,10 @@
 Everything here works straight off the definitions: partitions come
 from recursive placement, crossings from the four-index condition,
 sequences from filtering the full product, the first broken condition
-of S_n from scanning it as stated, arc depths and display rows
-from pairwise comparison.  Seeded members of S_n are drawn within the
-governing bounds.  Nothing is shared with the package internals.
+of S_n from scanning it as stated, the governing bounds of a partial
+sequence from their formula, arc depths and display rows from pairwise
+comparison.  Seeded members of S_n are drawn within the governing
+bounds.  Nothing is shared with the package internals.
 """
 
 from functools import lru_cache
@@ -98,6 +99,37 @@ def scan_violation(entries):
                     f"found {entries[i - r - 1]}"
                 )
     return None
+
+
+def bounds_from_scratch(values, cursor):
+    """The governing bounds recomputed from their definition, ignoring any running state.
+
+    At an unset position q <= cursor, g_q = min(q, min over p > cursor
+    of s_p - (p - q)), where terms below 1 impose nothing; at a set
+    position, the value.  The reference for set_value's incremental
+    updates.  Raises ValueError unless every value is an int and cursor
+    is an int in 0..len(values).
+    """
+    n = len(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"value {v!r} is not an integer")
+    if not isinstance(cursor, int) or isinstance(cursor, bool):
+        raise ValueError(f"cursor {cursor!r} is not an integer")
+    if not 0 <= cursor <= n:
+        raise ValueError(f"cursor {cursor} is outside 0..{n}")
+    out = []
+    for q in range(1, n + 1):
+        if q > cursor:
+            out.append(values[q - 1])
+            continue
+        g = q
+        for p in range(cursor + 1, n + 1):
+            cap = values[p - 1] - (p - q)
+            if 1 <= cap < g:
+                g = cap
+        out.append(g)
+    return tuple(out)
 
 
 def motzkin_reference(n):

@@ -34,6 +34,7 @@ from ncpseq import (
     stretch_step,
     to_arcs,
 )
+from ncpseq.bijection import _step_text, _trace_json
 
 PART_13 = "1,13|2,4,6,12|3|5|7,11|8,10|9"
 LONG_SEQ = "1 1 1 4 1 2 1 4"
@@ -49,6 +50,20 @@ def members(draw, n_max=14):
         limit = state.bounds[state.cursor - 1]
         state = set_value(state, draw(st.integers(1, limit)))
     return state.sequence()
+
+
+def _diagrams(trace):
+    """D_1 .. D_{n+1}: the start diagram, then the diagram of each step."""
+    return (trace.start, *(step.diagram for step in trace.steps))
+
+
+def _changes(trace):
+    """The start, then each diagram that differs from the one before it."""
+    stages = [trace.start]
+    for step in trace.steps:
+        if step.diagram != stages[-1]:
+            stages.append(step.diagram)
+    return tuple(stages)
 
 
 def test_difference_sequence_examples():
@@ -229,7 +244,7 @@ def test_inverse_equals_stretch_step_replay(n):
         final, stages = _replay(s)
         assert p == final
         assert Partition(p.ground_size, p.blocks) == p
-        assert inverse_trace(s).diagrams() == stages
+        assert _diagrams(inverse_trace(s)) == stages
 
 
 @given(members(n_max=300))
@@ -239,7 +254,7 @@ def test_inverse_equals_replay_on_long_members(s):
     final, stages = _replay(s)
     assert p == final
     assert Partition(p.ground_size, p.blocks) == p
-    assert inverse_trace(s).diagrams() == stages
+    assert _diagrams(inverse_trace(s)) == stages
 
 
 def _random_member(n, seed):
@@ -277,7 +292,7 @@ def test_inverse_builds_no_diagram(monkeypatch):
 # inverse reads the nesting of s and stretches no arc; the last stage
 # of the paper's construction referees it.
 def _last_stage(s):
-    return from_arcs(inverse_trace(s).distinct_diagrams()[-1])
+    return from_arcs(_diagrams(inverse_trace(s))[-1])
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -313,18 +328,19 @@ def test_inverse_examples():
 
 def test_seventeen_trace():
     trace = inverse_trace(parse_sequence(LONG_SEQ))
-    diagrams = trace.diagrams()
+    diagrams = _diagrams(trace)
     assert len(diagrams) == 9
     assert diagrams[5] == diagrams[6] == diagrams[7] == diagrams[8]
-    assert len(trace.distinct_diagrams()) == 4
-    assert format_partition(trace.final_partition()) == LONG_PART
-    assert forward(trace.final_partition()).entries == (1, 1, 1, 4, 1, 2, 1, 4)
+    assert len(_changes(trace)) == 4
+    final = from_arcs(diagrams[-1])
+    assert format_partition(final) == LONG_PART
+    assert forward(final).entries == (1, 1, 1, 4, 1, 2, 1, 4)
 
 
 def test_trace_of_all_ones_never_moves():
     trace = inverse_trace(CatSeq((1, 1, 1, 1)))
-    assert len(trace.distinct_diagrams()) == 1
-    assert all(d == trace.start for d in trace.diagrams())
+    assert len(_changes(trace)) == 1
+    assert all(d == trace.start for d in _diagrams(trace))
 
 
 def test_trace_two_step_example():
@@ -332,7 +348,7 @@ def test_trace_two_step_example():
     assert len(trace.steps) == 2
     assert trace.steps[0].arc_before != trace.steps[0].arc_after
     assert trace.steps[1].arc_before == trace.steps[1].arc_after
-    assert len(trace.distinct_diagrams()) == 2
+    assert len(_changes(trace)) == 2
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -348,36 +364,33 @@ def test_step_is_noop_exactly_on_ones(n):
 @pytest.mark.parametrize("n", range(7))
 def test_intermediate_diagrams_stay_special_one_piece(n):
     for s in generate_all(n):
-        for d in inverse_trace(s).diagrams():
+        for d in _diagrams(inverse_trace(s)):
             p = from_arcs(d)
-            assert p.block_count == n + 1
+            assert len(p.blocks) == n + 1
             assert is_special(p)
             assert len(decompose_pieces(p)) == 1
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_stages_are_the_diagram_changes(n):
-    """distinct_diagrams, by the v > 1 rule, against comparing each diagram with the last."""
+    """The steps that shift an arc, which render_trace draws, are the diagram changes."""
     for s in generate_all(n):
         trace = inverse_trace(s)
-        reference = [trace.start]
-        for step in trace.steps:
-            if step.diagram != reference[-1]:
-                reference.append(step.diagram)
-        assert trace.distinct_diagrams() == tuple(reference)
+        shifting = tuple(step.diagram for step in trace.steps if step.shifted)
+        assert (trace.start, *shifting) == _changes(trace)
 
 
 def test_trace_shares_the_arcs_a_step_leaves_alone():
     """A trace holds n + (sum of the entries above 1) arc objects, not one per stage."""
     s = parse_sequence(LONG_SEQ)
     trace = inverse_trace(s)
-    arcs = {id(a) for d in trace.diagrams() for a in d.arcs}
+    arcs = {id(a) for d in _diagrams(trace) for a in d.arcs}
     assert len(arcs) == len(s.entries) + sum(v for v in s.entries if v > 1)
 
 
 def test_trace_text_serialization():
     trace = inverse_trace(parse_sequence(LONG_SEQ))
-    lines = trace.to_text().splitlines()
+    lines = [_step_text(step) for step in trace.steps]
     assert len(lines) == 8
     assert lines[0] == (
         "step 1: (1,3)->(1,9); shifted (3,5)->(2,4), (5,7)->(4,6), (7,9)->(6,8); "
@@ -388,7 +401,7 @@ def test_trace_text_serialization():
 
 def test_trace_json_serialization():
     trace = inverse_trace(CatSeq((1, 2)))
-    records = json.loads(trace.to_json())
+    records = json.loads("".join(_trace_json(trace.steps)))
     assert [r["step"] for r in records] == [1, 2]
     assert records[0]["before"] == [1, 3]
     assert records[0]["after"] == [1, 5]

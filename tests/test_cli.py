@@ -35,10 +35,12 @@ from ncpseq import (
     enumerate_special,
     format_partition,
     format_sequence,
+    from_arcs,
     generate_all,
     inverse_trace,
     render_trace,
 )
+from ncpseq.bijection import _step_text, _trace_json
 from ncpseq.cli import main
 
 from bruteforce import half_stretched_member, random_member
@@ -294,17 +296,29 @@ def test_invert_json_requires_trace(cli):
     assert cli("invert", "1 2", "--json")[0] == 2
 
 
+def _library_trace(s):
+    """invert --trace's text and JSON for s, formatted from the trace inverse_trace collects.
+
+    The text is a line per step and the last diagram's partition; the
+    JSON, the steps' records.
+    """
+    trace = inverse_trace(s)
+    last = trace.steps[-1].diagram if trace.steps else trace.start
+    text = "".join(_step_text(step) + "\n" for step in trace.steps)
+    text += format_partition(from_arcs(last)) + "\n"
+    return text, "".join(_trace_json(trace.steps)) + "\n"
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_invert_trace_writes_what_the_library_trace_gives(cli, n):
-    """Text: to_text() and the final partition; --json: to_json(); per member."""
+    """Each member's stream equals the trace collected whole, in both forms."""
     members = list(generate_all(n))
     stdin = "".join(f"{format_sequence(s)}\n" for s in members)
     text = json_text = ""
     for s in members:
-        trace = inverse_trace(s)
-        body = trace.to_text()
-        text += (body + "\n" if body else "") + format_partition(trace.final_partition()) + "\n"
-        json_text += trace.to_json() + "\n"
+        member_text, member_json = _library_trace(s)
+        text += member_text
+        json_text += member_json
     assert cli("invert", "--trace", stdin=stdin) == (0, text, "")
     assert cli("invert", "--trace", "--json", stdin=stdin) == (0, json_text, "")
 
@@ -339,9 +353,7 @@ def test_invert_trace_holds_one_diagram_at_a_time(monkeypatch):
     """The staircase trace at n = 300 is 1.7 MB of text.  Streamed, it peaked at 3.7 MB
     under tracemalloc; with every diagram built before the first line, at 11.8 MB."""
     s = CatSeq(tuple(range(1, 301)))
-    trace = inverse_trace(s)
-    want = trace.to_text() + "\n" + format_partition(trace.final_partition()) + "\n"
-    del trace
+    want = _library_trace(s)[0]
 
     class Sink(io.TextIOBase):
         """A stdout that keeps a digest of what it is given, not the text."""
@@ -378,7 +390,7 @@ def test_invert_trace_json_arrives_in_pieces(monkeypatch):
     monkeypatch.setattr(ncpseq.cli, "_WRITE_CHARS", 64)
     assert main(["invert", "--trace", "--json", format_sequence(s)]) == 0
     assert len(writes) > 1
-    assert "".join(writes) == inverse_trace(s).to_json() + "\n"
+    assert "".join(writes) == _library_trace(s)[1]
 
 
 def test_invert_trace_json_holds_one_chunk_at_a_time(monkeypatch):

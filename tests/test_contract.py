@@ -20,6 +20,7 @@ import ncpseq
 import ncpseq.cli
 import ncpseq.verify
 from ncpseq import (
+    ArcDiagram,
     CatSeq,
     CheckReport,
     Composition,
@@ -207,7 +208,7 @@ SIZED = {
     "min_ssp_blocks": (ncpseq.min_ssp_blocks, 1, "m must be >= 1"),
     "compositions": (ncpseq.compositions, 1, "compositions need n >= 1"),
     "check_max_ground": (ncpseq.check_max_ground, 0, "b must be >= 0"),
-    "generate_all": (lambda n: next(ncpseq.generate_all(n)), 0, "n must be >= 0"),
+    "generate_all": (ncpseq.generate_all, 0, "n must be >= 0"),
     "count_all": (ncpseq.count_all, 0, "n must be >= 0"),
     "GoverningState.initial": (GoverningState.initial, 0, "n must be >= 0"),
     "initial_diagram": (ncpseq.initial_diagram, 0, "n must be >= 0"),
@@ -225,18 +226,42 @@ def test_every_public_size_is_an_int(entry, value):
         assert str(raised.value) == want
 
 
+# Each checked constructor given a field, or an item of one, that is not
+# iterable: the arguments, and the message that names the field.
+NOT_ITERABLE = [
+    (Partition, (3, 5), "blocks must be iterable, got 5"),
+    (Partition, (3, (1, 2, 3)), "block must be iterable, got 1"),
+    (Partition, (3, ((1, 3), 2)), "block must be iterable, got 2"),
+    (ArcDiagram, (3, 5), "arcs must be iterable, got 5"),
+    (ArcDiagram, (3, (5,)), "arc must be iterable, got 5"),
+    (CatSeq, (5,), "entries must be iterable, got 5"),
+    (Composition, (3,), "parts must be iterable, got 3"),
+    (GoverningState, (1, (1,), 0), "values must be iterable, got 1"),
+    (GoverningState, ((1,), 1, 0), "bounds must be iterable, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, message", NOT_ITERABLE, ids=[f"{c.__name__}{a!r}" for c, a, _ in NOT_ITERABLE]
+)
+def test_a_field_that_is_not_iterable_is_a_validation_error(cls, args, message):
+    with pytest.raises(ValidationError) as raised:
+        cls(*args)
+    assert str(raised.value) == message
+
+
 PUBLIC = [
     "BACKEND", "__version__", "Arc", "ArcDiagram", "Block", "CatSeq", "CheckReport",
     "Composition", "ConstructionTrace", "GoverningState", "ParseError", "Partition",
-    "StretchError", "TraceStep", "ValidationError", "arc_nesting_depths",
-    "bounds_from_scratch", "catalan", "check_floor_sum", "check_max_ground",
-    "check_special_structure", "compositions", "count_all", "count_special", "count_ssp",
-    "decompose_pieces", "difference_sequence", "enumerate_special", "enumerate_ssp",
-    "format_partition", "format_sequence", "forward", "from_arcs", "generate_all",
-    "initial_diagram", "inverse", "inverse_trace", "is_noncrossing", "is_semi_special",
-    "is_special", "min_ssp_blocks", "parse_partition", "parse_sequence", "render_ascii",
-    "render_svg", "render_trace", "run_verify", "sequence_violation", "set_value",
-    "special_violation", "stretch_step", "subpartition", "to_arcs", "validate_sequence",
+    "StretchError", "TraceStep", "ValidationError", "arc_nesting_depths", "catalan",
+    "check_floor_sum", "check_max_ground", "check_special_structure", "compositions",
+    "count_all", "count_special", "count_ssp", "decompose_pieces", "difference_sequence",
+    "enumerate_special", "enumerate_ssp", "format_partition", "format_sequence", "forward",
+    "from_arcs", "generate_all", "initial_diagram", "inverse", "inverse_trace",
+    "is_noncrossing", "is_semi_special", "is_special", "min_ssp_blocks", "parse_partition",
+    "parse_sequence", "render_ascii", "render_svg", "render_trace", "run_verify",
+    "sequence_violation", "set_value", "special_violation", "stretch_step", "subpartition",
+    "to_arcs", "validate_sequence",
 ]
 
 

@@ -256,7 +256,7 @@ def test_partition_constructor_names_its_fault(m, blocks, message):
 def test_str_matches_format():
     p = parse_partition("1,5|2,4|3")
     assert str(p) == "1,5|2,4|3"
-    assert p.block_count == 3
+    assert len(p.blocks) == 3
     assert p.ground_size == 5
 
 
@@ -593,7 +593,7 @@ def test_arc_count_is_ground_minus_blocks():
     for p in partitions_up_to(7):
         if is_noncrossing(p):
             d = to_arcs(p)
-            assert len(d.arcs) == p.ground_size - p.block_count
+            assert len(d.arcs) == p.ground_size - len(p.blocks)
 
 
 def test_nesting_depths_on_deep_example():

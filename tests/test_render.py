@@ -12,6 +12,7 @@ from ncpseq import (
     Partition,
     arc_nesting_depths,
     enumerate_special,
+    generate_all,
     initial_diagram,
     inverse,
     inverse_trace,
@@ -129,12 +130,24 @@ def test_nested_semicircles_never_meet():
 
 
 def test_trace_panel_counts():
+    """A trace draws the start and one panel per diagram change, for every member up to n = 7.
+
+    That is one panel per entry above 1, the count that render --trace
+    warns with before it draws.
+    """
     one_panel = render_trace(inverse_trace(parse_sequence("1 1 1")))
     assert svg_elements(one_panel).count("line") == 1
     four_panels = render_trace(inverse_trace(parse_sequence("1 1 1 4 1 2 1 4")))
     assert svg_elements(four_panels).count("line") == 4
     two_panels = render_trace(inverse_trace(parse_sequence("1 2")))
     assert svg_elements(two_panels).count("line") == 2
+    for n in range(8):
+        for s in generate_all(n):
+            trace = inverse_trace(s)
+            diagrams = [trace.start, *(step.diagram for step in trace.steps)]
+            changes = sum(1 for a, b in zip(diagrams, diagrams[1:]) if a != b)
+            panels = svg_elements(render_trace(trace)).count("line")
+            assert panels == 1 + changes == 1 + sum(1 for v in s.entries if v > 1)
 
 
 def test_trace_captions_name_the_producing_steps():

@@ -6,18 +6,24 @@ layout replaced, so any byte that a rewrite of render.py moves fails
 here.  Each digest covers a run of outputs, each followed by a NUL.
 The inputs are every member of S_n for n <= 8, and seeded members
 drawn as the benchmark's roundtrip draws them, at its render sizes.
-The text and JSON forms of every trace with n <= 8 are pinned the same
-way; their digests were taken before the trace shared one stretch
-step with stretch_step.
+What invert --trace prints for every member with n <= 8, as text and as
+JSON, is pinned the same way, one output per member: its step lines
+without the closing partition, or its JSON array.  Those digests were
+taken from the trace's own text and JSON writers, before the trace
+shared one stretch step with stretch_step and before invert --trace
+streamed its steps.
 """
 
 import hashlib
+import io
 import random
+import sys
 
 import pytest
 
 from ncpseq import (
     CatSeq,
+    format_sequence,
     generate_all,
     inverse,
     inverse_trace,
@@ -26,6 +32,7 @@ from ncpseq import (
     render_trace,
     to_arcs,
 )
+from ncpseq.cli import main
 
 from bruteforce import half_stretched_member, random_member
 
@@ -134,7 +141,16 @@ TRACE_DIGESTS = {
 
 @pytest.mark.parametrize("n", range(9))
 @pytest.mark.parametrize("kind", ("text", "json"))
-def test_every_trace_serializes_to_its_pinned_bytes(kind, n):
-    traces = (inverse_trace(s) for s in generate_all(n))
-    outputs = (t.to_text() if kind == "text" else t.to_json() for t in traces)
+def test_every_trace_serializes_to_its_pinned_bytes(kind, n, capsys, monkeypatch):
+    stdin = "".join(format_sequence(s) + "\n" for s in generate_all(n))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(["invert", "--trace", *(["--json"] if kind == "json" else [])]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    if kind == "json":
+        outputs = lines
+    else:
+        # Each member prints n step lines, then its partition.
+        outputs = ["\n".join(lines[at : at + n]) for at in range(0, len(lines), n + 1)]
+    assert err == ""
     assert _digest(outputs) == TRACE_DIGESTS[kind, n]

@@ -12,7 +12,6 @@ from ncpseq import (
     GoverningState,
     ParseError,
     ValidationError,
-    bounds_from_scratch,
     catalan,
     count_all,
     format_sequence,
@@ -22,7 +21,12 @@ from ncpseq import (
     set_value,
     validate_sequence,
 )
-from bruteforce import catalan_reference, scan_violation, sequences_by_filter
+from bruteforce import (
+    bounds_from_scratch,
+    catalan_reference,
+    scan_violation,
+    sequences_by_filter,
+)
 
 
 def test_validate_examples():
@@ -410,7 +414,7 @@ def test_governing_state_entries_are_ints(values, bounds, cursor, message):
     ids=repr,
 )
 def test_bounds_from_scratch_takes_only_int_values(values, message):
-    with pytest.raises(ValidationError) as raised:
+    with pytest.raises(ValueError) as raised:
         bounds_from_scratch(values, 0)
     assert str(raised.value) == message
 
@@ -427,7 +431,7 @@ def test_bounds_from_scratch_takes_only_int_values(values, message):
 )
 def test_bounds_from_scratch_takes_only_a_cursor_of_its_state(cursor, message):
     assert [bounds_from_scratch((1, 1), c) for c in (0, 1, 2)] == [(1, 1), (1, 1), (1, 2)]
-    with pytest.raises(ValidationError) as raised:
+    with pytest.raises(ValueError) as raised:
         bounds_from_scratch((1, 1), cursor)
     assert str(raised.value) == message
 
