@@ -3,8 +3,11 @@
 The walks and counts are self-contained on purpose.  They never touch
 the bijection, so their output can referee it, and they take sizes the
 public entries have checked, checking none again.  The walks are
-generators that keep their own state per element or entry in flat
-arrays, so how deep they go is not bounded by the recursion limit.
+generator functions: each yields an object as soon as it is built and
+keeps none, so a caller holds only what it keeps itself, and one that
+needs a list calls list or sorted.  They keep their own state per
+element or entry in flat arrays, so how deep they go is not bounded by
+the recursion limit.
 
 Partition walk: scan elements 1..m with a stack of open blocks.
 Element e either opens a new block or joins an open block strictly
@@ -104,12 +107,12 @@ def _freeze_blocks() -> Callable[[list[list[int]]], PartitionBlocks]:
     return lambda members: tuple([keep(b, b) for b in map(tuple, members)])
 
 
-def ssp_partitions(m: int) -> list[PartitionBlocks]:
-    """All semi-special partitions of [m], in construction order.
+def ssp_partitions(m: int) -> Iterator[PartitionBlocks]:
+    """Each semi-special partition of [m], in construction order, as it is built.
 
     Each is a tuple of block tuples, and equal blocks are one tuple.
     """
-    return list(_partition_walk(m, None))
+    yield from _partition_walk(m, None)
 
 
 def count_ssp_partitions(m: int) -> int:
@@ -121,14 +124,14 @@ def special_partitions(
     n: int,
     labels: Sequence[T] | None = None,
     freeze: Callable[[list[list[T]]], L] | None = None,
-) -> list[L]:
-    """All special partitions of [2n+1]: semi-special with n+1 blocks.
+) -> Iterator[L]:
+    """Each special partition of [2n+1] (semi-special with n+1 blocks), as it is built.
 
     In construction order, each frozen from the walk's lists of blocks
     by freeze, with element e stored as labels[e]: by default e itself,
     frozen to a tuple of block tuples that shares equal blocks.
     """
-    return list(_partition_walk(2 * n + 1, n + 1, labels, freeze))
+    yield from _partition_walk(2 * n + 1, n + 1, labels, freeze)
 
 
 def count_special_partitions(n: int) -> int:
@@ -245,18 +248,6 @@ def ssp_min_blocks(m: int) -> int:
     return next(c for c in range(1, m + 1) if _count_partition_leaves(m, c))
 
 
-def catalan_sequences(n: int, labels: Sequence[S] | None = None) -> list[S]:
-    """All of S_n in lexicographic order, each member as a fold of labels.
-
-    Member s_1..s_n comes out as labels[0] + labels[s_1] + ... +
-    labels[s_n]: labels[0] starts every member (it is the empty one)
-    and labels[v], 1 <= v <= n, stands for an entry v.  By default
-    labels[0] is () and labels[v] is (v,), so each member is its tuple
-    of entries.
-    """
-    return list(_sequence_walk(n, labels))
-
-
 def count_catalan_sequences(n: int) -> int:
     """|S_n|, by the end-point stack count: O(n^2) additions, no walk."""
     runs = [1]  # runs[k]: prefixes that leave k end points above 0
@@ -270,7 +261,15 @@ def count_catalan_sequences(n: int) -> int:
     return sum(runs)
 
 
-def _sequence_walk(n: int, labels: Sequence[S] | None = None) -> Iterator[S]:
+def catalan_sequences(n: int, labels: Sequence[S] | None = None) -> Iterator[S]:
+    """Each member of S_n in lexicographic order, as a fold of labels, as it is built.
+
+    Member s_1..s_n comes out as labels[0] + labels[s_1] + ... +
+    labels[s_n]: labels[0] starts every member (it is the empty one)
+    and labels[v], 1 <= v <= n, stands for an entry v.  By default
+    labels[0] is () and labels[v] is (v,), so each member is its tuple
+    of entries.
+    """
     if labels is None:
         labels = [()] + [(v,) for v in range(1, n + 1)]
     if n == 0:

@@ -21,13 +21,18 @@ _WRITE_CHARS characters, whichever comes first.  enumerate writes the
 canonical texts the listings give with as_text, so no Partition or
 CatSeq is built per line, and joins each batch of _CHUNK_LINES texts
 once, one write per batch: its lines are short and no failure can
-follow them, so it needs no more of the writer.  invert --trace, text
-or --json, writes each step as it is made, holding one diagram and one
-chunk of text at a time.  Every warning is one stderr line, before the
-work: enumerate's above n = LISTING_N_CEILING (listing) or
-COUNT_N_CEILING (counting); verify's, and check's of a claim whose work
-grows with --n-max, above its default; invert --trace's above
-TRACE_ELEMENT_CEILING printed elements; render's above
+follow them, so it needs no more of the writer.  The sequence listing
+comes from the walk as it goes, so enumerate --kind sequences holds one
+batch of texts at a time; the special listing holds every text of its
+size, for the canonical sort.  check of a sweeping claim holds one
+object at a time, but round-trip one size's sequences; verify holds
+every object up to --n-max, walked once for all its suites.
+invert --trace, text or --json, writes each step as it is made, holding
+one diagram and one chunk of text at a time.  Every warning is one
+stderr line, before the work: enumerate's above n = LISTING_N_CEILING
+(listing) or COUNT_N_CEILING (counting); verify's, and check's of a
+claim whose work grows with --n-max, above its default; invert
+--trace's above TRACE_ELEMENT_CEILING printed elements; render's above
 ASCII_CHAR_CEILING characters of ascii text (lines x width), or
 TRACE_POINT_CEILING points over all the panels of a trace.
 render takes a single input and decides what it is: text containing
@@ -442,9 +447,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def _drop_stdout() -> None:
     # Point stdout at devnull so that the flush at interpreter exit
-    # does not fail again on the output still buffered.
+    # does not fail again on the output still buffered.  A stdout with
+    # no file descriptor, such as an in-process caller's StringIO, has
+    # nothing to point.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, fd)
     os.close(devnull)
 
 

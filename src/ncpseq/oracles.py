@@ -8,9 +8,10 @@ report the first counterexample in canonical text, smallest first.
 
 The public listings come in canonical text order.  A sweep that only
 needs every special partition once takes them in the walk's order from
-_special_walk instead, with no text formatted to sort them; its caller
-sweeps a failing size again in canonical order, which is the order
-that picks the counterexample to report (see ncpseq.verify).
+_special_walk instead, one at a time as the walk builds them, with no
+text formatted to sort them; its caller sweeps a failing size again in
+canonical order, which is the order that picks the counterexample to
+report (see ncpseq.verify).
 
 One sweep, _structure_sweep, decides the structure facts:
 check_special_structure runs it over one size's listing, and verify's
@@ -51,25 +52,25 @@ def enumerate_special(n: int, *, as_text: bool = False) -> Iterator[Partition] |
     as_text, the canonical texts come instead: the walk stores each
     element's text and freezes each leaf straight to its canonical
     text, and the texts are sorted, with no Partition or block tuple
-    built.
+    built.  The sort is the one step that holds the whole size: the
+    walk itself keeps nothing it has yielded.
     """
     _check_size(n, 0, "n must be >= 0")
     if as_text:
         m = 2 * n + 1
-        texts = kernels.special_partitions(n, [str(x) for x in range(m + 1)], _join_block_texts)
-        texts.sort()
-        return iter(texts)
+        labels = [str(x) for x in range(m + 1)]
+        return iter(sorted(kernels.special_partitions(n, labels, _join_block_texts)))
     return iter(sorted(_special_walk(n), key=format_partition))
 
 
-def _special_walk(n: int) -> list[Partition]:
+def _special_walk(n: int) -> Iterator[Partition]:
     """The special partitions of [2n+1] in the walk's order, wrapped unchecked.
 
-    Unsorted, for the sweeps that check every one and sort only a size
-    that fails (see enumerate_special).
+    Unsorted and streamed, one at a time, for the sweeps that check
+    every one and sort only a size that fails (see enumerate_special).
     """
     m = 2 * n + 1
-    return [Partition._trusted(m, blocks) for blocks in kernels.special_partitions(n)]
+    return (Partition._trusted(m, blocks) for blocks in kernels.special_partitions(n))
 
 
 def count_special(n: int) -> int:
@@ -84,7 +85,7 @@ def enumerate_ssp(m: int) -> Iterator[Partition]:
     Wrapped as built, as in enumerate_special.
     """
     _check_size(m, 1, "m must be >= 1")
-    parts = [Partition._trusted(m, blocks) for blocks in kernels.ssp_partitions(m)]
+    parts = (Partition._trusted(m, blocks) for blocks in kernels.ssp_partitions(m))
     return iter(sorted(parts, key=format_partition))
 
 

@@ -9,17 +9,24 @@ suite, for running one claim alone.
 
 The cardinality, round-trip and special-structure suites sweep the same
 objects: every special partition of [2n+1] and every member of S_n for
-n = 0..n_max.  Each takes them as lists indexed by n, one entry per
-size, and reads its range from their length.  run_verify walks each
-size once and hands the same lists to all three; a CLAIM_SUITES entry
-walks only what its one suite reads, outside the suite's timing.  Every
-object is validated once, when it is walked.
+n = 0..n_max.  Each takes n_max and a source per kind of object, a
+function from n to an iterable of the objects of size n, and reads each
+size from it inside its own timing.  run_verify hands all three suites
+one shared source per kind, which walks a size the first time a suite
+reads it and keeps it for the others: each size is walked once, and
+the walks land in the first suite's time, the cardinality suite's.  A
+CLAIM_SUITES entry hands its one suite the walks themselves, which keep
+nothing, so a claim checked alone holds one object at a time, but for
+the round-trip suite, which keeps one size's sequences because it reads
+them twice.  Every object is validated once, when it is walked.
 
 The partitions come in the walk's order, with no text formatted to sort
 them.  A failure reports the smallest counterexample in canonical text
 order, so a size where the round-trip or special-structure sweep fails
-is swept again in that order, and the suite reports what the second
-sweep finds (_first_in_canonical_order); a passing size is swept once.
+is read again from its source (walked again, if the source keeps
+nothing) and swept again in that order, and the suite reports what the
+second sweep finds (_first_in_canonical_order); a passing size is swept
+once.
 The sequences need no second sweep: the walk lists S_n in lexicographic
 order, their canonical order.
 
@@ -34,7 +41,8 @@ partition and inverse once per distinct sequence.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable
 
 from ncpseq import bijection
 from ncpseq.errors import ValidationError, _check_size
@@ -58,32 +66,28 @@ FLOOR_SUM_N_MAX = 12
 MIN_BLOCKS_M_CAP = 13
 MAX_GROUND_B_CAP = 6
 
-
-def _each_size(listing: Callable[[int], Iterable], n_max: int) -> list[tuple]:
-    """listing(n) for each n = 0..n_max, walked once: what the sweeping suites take."""
-    return [tuple(listing(n)) for n in range(n_max + 1)]
+# What a sweeping suite reads its objects from: n -> the objects of size n.
+Source = Callable[[int], Iterable]
 
 
 def _first_in_canonical_order(
-    sweep: Callable[..., tuple[int, str | None]], parts: Sequence[Partition], *rest: object
+    sweep: Callable[..., tuple[int, str | None]], partitions: Source, n: int, *rest: object
 ) -> tuple[int, str | None]:
-    """sweep(parts, *rest) over one size, as if parts came in canonical text order.
+    """sweep(partitions(n), *rest) over one size, as if it came in canonical text order.
 
-    sweep gives (objects checked, first failure or None) in the order of
-    parts.  A passing sweep passes in any order, with every object
-    checked; a failing one is run again with parts sorted, so the
-    failure and the count checked up to it are those of the smallest
-    counterexample.
+    sweep gives (objects checked, first failure or None) in the order
+    the source gives them.  A passing sweep passes in any order, with
+    every object checked; a failing one reads the size from its source
+    again and is run again with it sorted, so the failure and the count
+    checked up to it are those of the smallest counterexample.
     """
-    outcome = sweep(parts, *rest)
+    outcome = sweep(partitions(n), *rest)
     if outcome[1] is None:
         return outcome
-    return sweep(sorted(parts, key=format_partition), *rest)
+    return sweep(sorted(partitions(n), key=format_partition), *rest)
 
 
-def cardinality_suite(
-    partitions: Sequence[Sequence[Partition]], sequences: Sequence[Sequence[CatSeq]]
-) -> CheckReport:
+def cardinality_suite(n_max: int, partitions: Source, sequences: Source) -> CheckReport:
     """Special partitions, valid sequences, and Catalan agree at each size n.
 
     A partition counts only if it is special, so an enumerator that
@@ -91,19 +95,17 @@ def cardinality_suite(
     """
 
     def one(n: int) -> tuple[int, str | None]:
-        parts = sum(1 for p in partitions[n] if special_violation(p) is None)
-        seqs = len(sequences[n])
+        parts = sum(1 for p in partitions(n) if special_violation(p) is None)
+        seqs = sum(1 for _ in sequences(n))
         want = catalan(n)
         if parts == seqs == want:
             return parts + seqs, None
         return parts + seqs, f"n={n}: {parts} partitions, {seqs} sequences, catalan {want}"
 
-    return _report("cardinality", f"n=0..{len(partitions) - 1}", map(one, range(len(partitions))))
+    return _report("cardinality", f"n=0..{n_max}", map(one, range(n_max + 1)))
 
 
-def round_trip_suite(
-    partitions: Sequence[Sequence[Partition]], sequences: Sequence[Sequence[CatSeq]]
-) -> CheckReport:
+def round_trip_suite(n_max: int, partitions: Source, sequences: Source) -> CheckReport:
     """Both compositions of the maps are the identity at each size n.
 
     forward runs once per partition and inverse once per distinct
@@ -112,7 +114,7 @@ def round_trip_suite(
     size stops at its first failure, in canonical order.
     """
 
-    def sweep(parts: Sequence[Partition], seqs: Sequence[CatSeq]) -> tuple[int, str | None]:
+    def sweep(parts: Iterable[Partition], seqs: tuple[CatSeq, ...]) -> tuple[int, str | None]:
         # Looked up through the module so a deliberately broken forward
         # map planted by a test is actually exercised.
         fwd = bijection.forward
@@ -148,19 +150,20 @@ def round_trip_suite(
                 )
         return checked, None
 
+    # The sweep reads a size's sequences twice, so they are kept for it.
     outcomes = (
-        _first_in_canonical_order(sweep, partitions[n], sequences[n])
-        for n in range(len(partitions))
+        _first_in_canonical_order(sweep, partitions, n, tuple(sequences(n)))
+        for n in range(n_max + 1)
     )
-    return _report("round-trip", f"n=0..{len(partitions) - 1}", outcomes)
+    return _report("round-trip", f"n=0..{n_max}", outcomes)
 
 
-def special_structure_suite(partitions: Sequence[Sequence[Partition]]) -> CheckReport:
+def special_structure_suite(n_max: int, partitions: Source) -> CheckReport:
     """Structural facts about the special partitions at each size n."""
     outcomes = (
-        _first_in_canonical_order(_structure_sweep, ps, n) for n, ps in enumerate(partitions)
+        _first_in_canonical_order(_structure_sweep, partitions, n, n) for n in range(n_max + 1)
     )
-    return _report("special-structure", f"n=0..{len(partitions) - 1}", outcomes)
+    return _report("special-structure", f"n=0..{n_max}", outcomes)
 
 
 def floor_sum_suite() -> CheckReport:
@@ -195,20 +198,15 @@ def max_ground_suite(n_max: int) -> CheckReport:
 # their work grows with n_max; the other suites cap their range.
 SWEEPING_CLAIMS = frozenset({"cardinality", "round-trip", "special-structure"})
 
-# Each claim `check` can run, by name, with its suite.  An entry walks
-# only what its suite reads, and looks the suite up when it is called,
-# so a suite replaced on this module by name (as tracers and tests do)
-# is the one that runs.
+# Each claim `check` can run, by name, with its suite.  A sweeping suite
+# reads the walks themselves, which keep nothing, and looks each one up
+# when it reads a size; an entry looks its suite up when it is called.
+# So a suite or walk replaced on its module by name (as tracers and
+# tests do) is the one that runs.
 CLAIM_SUITES: dict[str, Callable[[int], CheckReport]] = {
-    "cardinality": lambda n_max: cardinality_suite(
-        _each_size(_special_walk, n_max), _each_size(generate_all, n_max)
-    ),
-    "round-trip": lambda n_max: round_trip_suite(
-        _each_size(_special_walk, n_max), _each_size(generate_all, n_max)
-    ),
-    "special-structure": lambda n_max: special_structure_suite(
-        _each_size(_special_walk, n_max)
-    ),
+    "cardinality": lambda n_max: cardinality_suite(n_max, _special_walk, generate_all),
+    "round-trip": lambda n_max: round_trip_suite(n_max, _special_walk, generate_all),
+    "special-structure": lambda n_max: special_structure_suite(n_max, _special_walk),
     "floor-sum": lambda n_max: floor_sum_suite(),
     "min-blocks": lambda n_max: min_blocks_suite(n_max),
     "max-ground": lambda n_max: max_ground_suite(n_max),
@@ -218,17 +216,19 @@ CLAIM_SUITES: dict[str, Callable[[int], CheckReport]] = {
 def run_verify(n_max: int = DEFAULT_N_CEILING) -> dict:
     """Run the five standard suites and assemble the report dictionary.
 
-    The special partitions and S_n are walked once per size and shared
-    by the three suites that sweep them, the partitions in the walk's
-    order.
+    The special partitions and S_n are walked once per size, the first
+    time the cardinality suite reads that size, and kept for the
+    round-trip and special-structure suites, the partitions in the
+    walk's order.  So the walks are timed with the cardinality suite.
     """
     _check_size(n_max, 0, "n_max must be >= 0")
-    partitions = _each_size(_special_walk, n_max)
-    sequences = _each_size(generate_all, n_max)
+    # Each walks a size the first time a suite reads it, and keeps it.
+    partitions = cache(lambda n: tuple(_special_walk(n)))
+    sequences = cache(lambda n: tuple(generate_all(n)))
     reports = [
-        cardinality_suite(partitions, sequences),
-        round_trip_suite(partitions, sequences),
-        special_structure_suite(partitions),
+        cardinality_suite(n_max, partitions, sequences),
+        round_trip_suite(n_max, partitions, sequences),
+        special_structure_suite(n_max, partitions),
         floor_sum_suite(),
         min_blocks_suite(n_max),
     ]

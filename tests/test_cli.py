@@ -413,6 +413,35 @@ def test_invert_trace_json_holds_one_chunk_at_a_time(monkeypatch):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["enumerate", "--kind", "sequences", "--n", "11"], 1_000_000),
+        (["check", "special-structure", "--n-max", "9"], 400_000),
+    ],
+)
+def test_a_listing_or_check_holds_one_object_at_a_time(monkeypatch, argv, bound):
+    """Under tracemalloc, the n = 11 sequence listing (58,786 lines) peaked at
+    0.2 MB streamed from the walk, and at 4.9 MB with the walk's list built
+    first; the structure check up to n = 9 at 0.11 MB streamed, and at 1.15 MB
+    with every size walked into a tuple first."""
+
+    class Discard(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    # The same call at size 1 first, so that the peak counts no import.
+    assert main([*argv[:-1], "1"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_pipe_round_trip_in_process(cli):
     code, listing, _ = cli("enumerate", "--n", "4")
     code, mapped, _ = cli("map", stdin=listing)
@@ -479,6 +508,25 @@ def test_failed_stdout_write_exits_3_with_one_line(argv):
     assert res.returncode == 3
     assert res.stderr.startswith("io error: [Errno 28]")
     assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(OSError(28, "No space left on device"), "io error: [Errno 28] No space left on device\n"),
+     (BrokenPipeError(32, "Broken pipe"), "")],
+)
+def test_a_failed_write_to_a_stdout_with_no_descriptor_exits_3(
+    monkeypatch, capsys, error, message
+):
+    """An in-process stdout, such as a StringIO, has no descriptor to point at devnull."""
+
+    class Failing(io.StringIO):
+        def write(self, text):
+            raise error
+
+    monkeypatch.setattr(sys, "stdout", Failing())
+    assert main(["enumerate", "--n", "1"]) == 3
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize(
@@ -558,8 +606,7 @@ def test_check_warns_above_ceiling_when_its_work_grows_with_n_max(cli, monkeypat
     sweeps = claim in {"cardinality", "round-trip", "special-structure"}
     warning = "warning: n_max 10 is above the default ceiling 9; this may take a while\n"
     suite = claim.replace("-", "_") + "_suite"
-    # Neither the suite nor the walk it would read runs.
-    monkeypatch.setattr(ncpseq.verify, "_each_size", lambda listing, n_max: None)
+    # The suite is planted, so the walks it would read never run.
     for passed, code in ((True, 0), (False, 1)):
         planted = CheckReport(claim, "planted", passed, 0, 0.0, None if passed else "planted")
         monkeypatch.setattr(ncpseq.verify, suite, lambda *args: planted)
@@ -591,7 +638,7 @@ def test_verify_flags_a_non_special_kernel_partition(cli, monkeypatch):
     walk = ncpseq._kernels_py.special_partitions
 
     def planted(n):
-        out = walk(n)
+        out = list(walk(n))
         if n == 3:
             out[0] = ((1, 4, 7), (2, 5), (3,), (6,))
         return out

@@ -1,6 +1,8 @@
 """Independent enumerators, counting identities, claim checks, suites."""
 
+import inspect
 import sys
+import time
 
 import pytest
 
@@ -102,14 +104,14 @@ def test_enumerate_ssp_matches_filter(m):
 def test_special_walk_is_the_unpruned_walk_filtered(n):
     """The pruned special walk emits the n+1-block SSPs in the same order."""
     unpruned = [p for p in kernels.ssp_partitions(2 * n + 1) if len(p) == n + 1]
-    assert kernels.special_partitions(n) == unpruned
+    assert list(kernels.special_partitions(n)) == unpruned
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_special_walk_freezes_each_leaf_to_the_text_of_its_blocks(n):
     """The text leaves enumerate_special sorts are the tuple leaves formatted, in walk order."""
     labels = [str(x) for x in range(2 * n + 2)]
-    texts = kernels.special_partitions(n, labels, _join_block_texts)
+    texts = list(kernels.special_partitions(n, labels, _join_block_texts))
     leaves = kernels.special_partitions(n)
     assert texts == [format_partition(Partition._trusted(2 * n + 1, b)) for b in leaves]
     assert len(texts) == catalan(n)
@@ -125,8 +127,15 @@ def test_each_walk_gives_equal_blocks_as_one_tuple(n):
     assert len(shared) == len({b for p in enumerate_special(n) for b in p.blocks})
 
 
+@pytest.mark.parametrize("name", ["special_partitions", "ssp_partitions", "catalan_sequences"])
+def test_each_walk_is_a_generator_function(name):
+    """A walk keeps nothing it has yielded, and a wrapper that looks for a
+    generator function, as the benchmark's tracer does, finds one."""
+    assert inspect.isgeneratorfunction(getattr(kernels, name))
+
+
 def test_no_shared_block_outlives_its_walk():
-    first, again = kernels.special_partitions(3), kernels.special_partitions(3)
+    first, again = list(kernels.special_partitions(3)), list(kernels.special_partitions(3))
     assert first == again
     assert all(a is not b for x, y in zip(first, again) for a, b in zip(x, y))
 
@@ -158,7 +167,7 @@ def test_ssp_count_is_motzkin_by_its_recurrence():
 )
 def test_each_count_is_the_length_of_its_listing(count, listing, sizes):
     for size in sizes:
-        assert count(size) == len(listing(size))
+        assert count(size) == len(list(listing(size)))
 
 
 def test_counters_do_not_recurse():
@@ -178,7 +187,7 @@ def test_listings_do_not_recurse():
     sys.setrecursionlimit(200)
     try:
         special = next(kernels._partition_walk(2001, 1001))
-        sequence = next(kernels._sequence_walk(1000))
+        sequence = next(kernels.catalan_sequences(1000))
     finally:
         sys.setrecursionlimit(limit)
     assert is_special(Partition(2001, special))
@@ -320,7 +329,7 @@ def test_check_special_structure(n):
 
 def test_check_special_structure_reports_a_non_special_parent():
     crossing = Partition(7, ((1, 3, 7), (2, 6), (4,), (5,)))
-    report = special_structure_suite([(), (), (), (crossing,)])
+    report = special_structure_suite(3, [(), (), (), (crossing,)].__getitem__)
     assert not report.passed
     assert report.counterexample == "1,3,7|2,6|4|5: not special (crossing blocks)"
 
@@ -462,10 +471,7 @@ def test_a_failing_size_reports_its_canonically_smallest_counterexample(monkeypa
         "forward",
         lambda p: real_forward(partner if format_partition(p) in bad else p),
     )
-    reference = round_trip_suite(
-        [tuple(enumerate_special(k)) for k in range(n + 1)],
-        [tuple(generate_all(k)) for k in range(n + 1)],
-    )
+    reference = round_trip_suite(n, enumerate_special, generate_all)
     report = CLAIM_SUITES["round-trip"](n)
     want = (
         2 * before + canonical.index(smallest) + 1,
@@ -626,7 +632,7 @@ def test_round_trip_checks_the_sequences_no_partition_reached(monkeypatch):
         "inverse",
         lambda s: real_inverse(other if s == orphan else s),
     )
-    report = round_trip_suite(partitions, sequences)
+    report = round_trip_suite(3, partitions.__getitem__, sequences.__getitem__)
     assert report.counterexample == (
         f"forward(inverse({format_sequence(orphan)})) = {format_sequence(other)}"
     )
@@ -695,6 +701,46 @@ def test_run_verify_walks_each_size_once(monkeypatch):
     monkeypatch.setattr(kernels, "special_partitions", counting_walk)
     assert run_verify(5)["status"] == "pass"
     assert sizes == [0, 1, 2, 3, 4, 5]
+
+
+def test_run_verify_times_the_walks_with_the_cardinality_suite(monkeypatch):
+    """Each size is walked inside the first suite that reads it, so a walk
+    that sleeps 50 ms per size shows in the cardinality suite's time only."""
+    walk = kernels.special_partitions
+
+    def slow_walk(n):
+        time.sleep(0.05)
+        yield from walk(n)
+
+    monkeypatch.setattr(kernels, "special_partitions", slow_walk)
+    first, *rest = run_verify(2)["checks"]
+    assert first["claim"] == "cardinality"
+    assert first["elapsed_ms"] >= 150
+    assert all(check["elapsed_ms"] < 150 for check in rest)
+
+
+def test_a_failing_size_is_walked_again_by_check_but_not_by_verify(monkeypatch):
+    """check keeps no walk, so it walks a failing size again for the canonical
+    re-sweep; verify keeps each size it walked for all its suites."""
+    n = 4
+    bad = {text for text in map(format_partition, _special_walk(n)) if text.startswith("1,9|")}
+    want = f"{min(bad)}: subpartition at block 1, gap 1 is not special"
+    sizes = []
+    walk = kernels.special_partitions
+
+    def counting_walk(k):
+        sizes.append(k)
+        return walk(k)
+
+    monkeypatch.setattr(kernels, "special_partitions", counting_walk)
+    monkeypatch.setattr(ncpseq.oracles, "_opened_counts", refusing(bad))
+    report = CLAIM_SUITES["special-structure"](n)
+    assert (report.passed, report.counterexample) == (False, want)
+    assert sizes == [0, 1, 2, 3, 4, 4]
+    sizes.clear()
+    entry = run_verify(n)["checks"][2]
+    assert (entry["claim"], entry["counterexample"]) == ("special-structure", want)
+    assert sizes == [0, 1, 2, 3, 4]
 
 
 def test_each_check_claim_matches_its_verify_entry():

@@ -88,8 +88,8 @@ PAPER = "a paper object"
 TRACER = "a tracer target"
 CONSTRUCTOR = "a public constructor's check"
 VALUE = "the value protocol"
-DESCRIPTOR = "a failure path that only a real file descriptor reaches"
-REASONS = {PAPER, TRACER, CONSTRUCTOR, VALUE, DESCRIPTOR}
+FAILED_WRITE = "a failure path that only a failed stdout write reaches"
+REASONS = {PAPER, TRACER, CONSTRUCTOR, VALUE, FAILED_WRITE}
 CRITERION = re.compile(r"acceptance criterion [1-9]")
 
 # Each function that no call in CALLS runs, by module and qualified
@@ -106,7 +106,7 @@ UNREACHED = {
     "_kernels_py.count_ssp_partitions": PAPER,
     "_kernels_py.ssp_partitions": PAPER,
     "bijection.stretch_step": TRACER,
-    "cli._drop_stdout": DESCRIPTOR,
+    "cli._drop_stdout": FAILED_WRITE,
     "oracles.CheckReport.__init__": CONSTRUCTOR,
     "oracles.Composition.__init__": CONSTRUCTOR,
     "oracles.Composition.__str__": VALUE,

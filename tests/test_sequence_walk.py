@@ -74,12 +74,12 @@ def test_tuple_listing_is_pinned(n):
 
 @pytest.mark.parametrize("n", range(9))
 def test_walk_equals_the_filter(n):
-    assert kernels.catalan_sequences(n) == sequences_by_filter(n)
+    assert list(kernels.catalan_sequences(n)) == sequences_by_filter(n)
 
 
 @pytest.mark.parametrize("n", range(12))
 def test_walk_lists_each_member_once_in_order(n):
-    listing = kernels.catalan_sequences(n)
+    listing = list(kernels.catalan_sequences(n))
     assert len(listing) == count_all(n)
     assert all(type(s) is tuple and len(s) == n for s in listing)
     assert all(sequence_violation(s) is None for s in listing)
@@ -91,7 +91,7 @@ def test_walk_lists_each_member_once_in_order(n):
 @pytest.mark.parametrize("n", range(6))
 def test_walk_folds_any_labels(n):
     labels = ["<"] + [f"[{v}]" for v in range(1, n + 1)]
-    folded = kernels.catalan_sequences(n, labels)
+    folded = list(kernels.catalan_sequences(n, labels))
     assert folded == ["<" + "".join(f"[{v}]" for v in s) for s in kernels.catalan_sequences(n)]
 
 
@@ -101,5 +101,5 @@ def test_listing_checks_no_member_again(monkeypatch):
 
     monkeypatch.setattr(ncpseq.sequences, "sequence_violation", refuse)
     members = list(generate_all(8))
-    assert [s.entries for s in members] == kernels.catalan_sequences(8)
+    assert [s.entries for s in members] == list(kernels.catalan_sequences(8))
     assert len(list(generate_all(8, as_text=True))) == 1430
